@@ -38,7 +38,7 @@ from .fileio import (
 )
 from .losses import LossParts, loss_class, loss_detection, loss_segmentation, loss_time, total_loss
 from .metrics import DEFAULT_DELTAS, evaluate
-from .targets import OUTPUT_DEPENDENT, HeadVariant, assign_for_variant
+from .targets import HEADS, HeadVariant, assign_for_variant
 from .windowing import make_eval_clips, make_train_clips
 
 
@@ -93,7 +93,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_targets(args: argparse.Namespace) -> int:
     variant = HeadVariant(args.variant)
-    if variant in OUTPUT_DEPENDENT:
+    if HEADS[variant].needs_outputs:
         raise ValueError(
             f"{variant.value} pairing depends on model outputs and cannot be "
             "precomputed; use the library API with live outputs instead"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 #: Number of action classes scored by the benchmark.
 NUM_CLASSES = 10
@@ -36,16 +36,24 @@ class BenchConfig:
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self) -> None:
-        if self.context_s <= 0:
-            raise ValueError("context_s must be positive")
-        if self.anticipation_s <= 0:
-            raise ValueError("anticipation_s must be positive")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
+        for name in ("context_s", "anticipation_s"):
+            ms = getattr(self, name) * 1000  # may overflow to inf for huge finite seconds
+            if not (math.isfinite(ms) and round(ms) >= 1):
+                raise ValueError(
+                    f"{name} must give a window of 1 ms or more, got {getattr(self, name)!r} s"
+                )
         if self.fps <= 0:
             raise ValueError("fps must be positive")
         if self.dilation_radius < 0:
             raise ValueError("dilation_radius must be non-negative")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be at least 1")
+        # Kept in config documents for byte stability; the head table, the class
+        # set and the decoder all assume the one retained class count.
+        if self.num_classes != NUM_CLASSES:
+            raise ValueError(f"num_classes must be {NUM_CLASSES}, got {self.num_classes!r}")
         if self.queries == 0:
             object.__setattr__(self, "queries", default_query_count(self.anticipation_s))
         if self.queries < 1:

@@ -79,6 +79,22 @@ def _load(path: str | Path, expected_format: str) -> dict:
     return doc
 
 
+def _list(doc: dict, key: str, path: str | Path) -> list | None:
+    """The document's ``key`` entry: a list, or None when absent or null."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, list):
+        raise FileFormatError(f"{path}: {key!r} must be a list")
+    return value
+
+
+def _records(doc: dict, key: str, path: str | Path, what: str) -> Iterator[tuple[int, dict]]:
+    """Yield (index, record) over the document's record list; each must be an object."""
+    for i, rec in enumerate(_list(doc, key, path) or ()):
+        if not isinstance(rec, dict):
+            raise FileFormatError(f"{path}: {what} #{i}: must be an object")
+        yield i, rec
+
+
 def iter_annotation_files(paths: Sequence[str | Path]) -> Iterator[Path]:
     """Expand files and directories (non-recursive ``*.json``) into file paths."""
     for raw in paths:
@@ -130,7 +146,7 @@ def config_from_doc(doc: Any) -> BenchConfig:
         raise FileFormatError("config must be an object")
     try:
         return BenchConfig(**doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad config: {exc}") from exc
 
 
@@ -173,7 +189,7 @@ def read_eval_clips(path: str | Path) -> tuple[list[EvalClip], BenchConfig]:
     doc = _load(path, FORMAT_EVAL_CLIPS)
     cfg = config_from_doc(doc.get("config"))
     clips = []
-    for i, rec in enumerate(doc.get("clips", [])):
+    for i, rec in _records(doc, "clips", path, "clip"):
         try:
             gt = tuple(
                 GtAction(label=parse_label(a["label"]), offset_ms=int(a["offset_ms"]))
@@ -240,7 +256,7 @@ def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> No
 def read_predictions(path: str | Path) -> list[Prediction]:
     doc = _load(path, FORMAT_PREDICTIONS)
     predictions = []
-    for i, rec in enumerate(doc.get("predictions", [])):
+    for i, rec in _records(doc, "predictions", path, "prediction"):
         try:
             predictions.append(
                 Prediction(
@@ -326,10 +342,13 @@ def read_loss_check(
     """Parse a loss-check document into (config, weights, per-clip entries)."""
     doc = _load(path, FORMAT_LOSS_CHECK)
     cfg = config_from_doc(doc["config"]) if "config" in doc else BenchConfig()
-    weights_doc = doc.get("weights")
-    weights = tuple(float(w) for w in weights_doc) if weights_doc is not None else None
+    weights_doc = _list(doc, "weights", path)
+    try:
+        weights = tuple(float(w) for w in weights_doc) if weights_doc is not None else None
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: weights: {exc}") from exc
     entries = []
-    for i, rec in enumerate(doc.get("clips", [])):
+    for i, rec in _records(doc, "clips", path, "clip"):
         where = f"{path}: clip #{i}"
         try:
             clip_id = str(rec.get("id", i))

@@ -23,8 +23,8 @@ from typing import Iterable, Mapping, Sequence
 from .annotations import CLASS_INDEX, RETAINED_CLASSES, ActionClass
 from .config import BenchConfig
 from .losses import SlotOutput, check_distribution
-from .targets import HeadVariant
-from .timecodec import decode_time, decode_unit
+from .targets import HEADS, HeadVariant, Pairing
+from .timecodec import decode_time
 from .windowing import EvalClip
 
 #: The six scoring tolerances, in seconds.
@@ -81,9 +81,6 @@ class EvalReport:
     clamped_predictions: int = 0
 
 
-_SENTINEL_VARIANTS = frozenset({HeadVariant.Q_EOS, HeadVariant.Q_BCKG})
-
-
 def _argmax(values: Sequence[float]) -> int:
     """Index of the maximum, first occurrence on ties."""
     best = 0
@@ -106,8 +103,9 @@ def decode_predictions(
     never emitted; for the end-of-sequence head, the first slot whose argmax
     is that index ends the sequence and later slots are dropped.
     """
+    spec = HEADS[variant]
     n_classes = cfg.num_classes
-    want = n_classes + 1 if variant in _SENTINEL_VARIANTS else n_classes
+    want = n_classes + spec.sentinel
     ta_s = cfg.anticipation_s
     bin_s = ta_s / cfg.queries
     preds: list[Prediction] = []
@@ -116,12 +114,12 @@ def decode_predictions(
             raise MetricError(
                 f"slot {slot}: {len(out.class_probs)} class probabilities, expected {want}"
             )
-        if variant is not HeadVariant.Q_BCE:
+        if not spec.multihot:
             check_distribution(out.class_probs)
-        if variant is HeadVariant.Q_EOS and _argmax(out.class_probs) == n_classes:
+        if spec.eos and _argmax(out.class_probs) == n_classes:
             break
-        if variant is HeadVariant.ANCHORS:
-            time_s = slot * bin_s + decode_unit(out.time_raw) * bin_s
+        if spec.pairing is Pairing.ANCHOR_BINS:
+            time_s = slot * bin_s + decode_time(out.time_raw, bin_s)
         else:
             time_s = decode_time(out.time_raw, ta_s)
         clamped = out.time_raw > 0.0  # exp(raw) > 1 would leave the span

@@ -3,7 +3,8 @@
 Every head predicts a fixed number of slots per clip; training needs each
 slot tied to a ground-truth action (or explicitly to "nothing").  The
 variants differ in how that pairing is built and in what the unpaired
-slots are supervised towards:
+slots are supervised towards; :data:`HEADS` holds these rules for both
+target assignment and decoding:
 
 * ``q-act``        sequential pairing, unpaired slots only push actionness to 0
 * ``q-eos``        sequential pairing, the first unpaired slot learns an
@@ -53,8 +54,39 @@ class HeadVariant(enum.Enum):
     ANCHORS = "anchors"
 
 
-#: Variants whose pairing depends on the model's current outputs.
-OUTPUT_DEPENDENT = frozenset({HeadVariant.Q_HUNG_TIME, HeadVariant.Q_HUNG_CLASS})
+class Pairing(enum.Enum):
+    """How slots are tied to ground-truth actions."""
+
+    SEQUENTIAL = "sequential"  # slot i takes the i-th action in time order
+    HUNGARIAN_TIME = "hungarian-time"  # min-cost on |decoded time - gt time| / T_a
+    HUNGARIAN_CLASS = "hungarian-class"  # min-cost on 1 - p(gt class)
+    ANCHOR_BINS = "anchor-bins"  # slot i is the i-th T_a/q bin, first action wins
+
+
+@dataclass(frozen=True)
+class HeadSpec:
+    """What a head variant means, for target assignment and decoding alike."""
+
+    pairing: Pairing
+    sentinel: bool = False  # class index C (end-of-sequence / background) exists
+    eos: bool = False  # only the first unpaired slot is supervised; it ends decoding
+    multihot: bool = False  # independent sigmoids instead of a softmax
+
+    @property
+    def needs_outputs(self) -> bool:
+        """Pairing depends on the model's current outputs, so cannot be precomputed."""
+        return self.pairing in (Pairing.HUNGARIAN_TIME, Pairing.HUNGARIAN_CLASS)
+
+
+HEADS: dict[HeadVariant, HeadSpec] = {
+    HeadVariant.Q_ACT: HeadSpec(Pairing.SEQUENTIAL),
+    HeadVariant.Q_EOS: HeadSpec(Pairing.SEQUENTIAL, sentinel=True, eos=True),
+    HeadVariant.Q_BCKG: HeadSpec(Pairing.SEQUENTIAL, sentinel=True),
+    HeadVariant.Q_BCE: HeadSpec(Pairing.SEQUENTIAL, multihot=True),
+    HeadVariant.Q_HUNG_TIME: HeadSpec(Pairing.HUNGARIAN_TIME),
+    HeadVariant.Q_HUNG_CLASS: HeadSpec(Pairing.HUNGARIAN_CLASS),
+    HeadVariant.ANCHORS: HeadSpec(Pairing.ANCHOR_BINS),
+}
 
 
 @dataclass(frozen=True)
@@ -120,43 +152,14 @@ def _class_idx(action: GtAction) -> int:
         raise TargetError(f"label {action.label!r} is not a retained class") from None
 
 
-def _slots_from_pairs(
-    pairs: Sequence[tuple[int, int]],
-    gt: Sequence[GtAction],
-    queries: int,
-    anticipation_ms: int,
-    multihot: bool,
-) -> list[SlotTarget]:
-    n_classes = len(CLASS_INDEX)
-    slots = [BLANK] * queries
-    for i, k in pairs:
-        action = gt[k]
-        tau = action.offset_ms / anticipation_ms
-        if multihot:
-            hot = [0] * n_classes
-            hot[_class_idx(action)] = 1
-            slots[i] = SlotTarget(
-                gt_index=k, actionness=1.0, class_multihot=tuple(hot), time=tau
-            )
-        else:
-            slots[i] = SlotTarget(
-                gt_index=k, actionness=1.0, class_index=_class_idx(action), time=tau
-            )
-    return slots
-
-
 def sequential_assign(
     gt: Sequence[GtAction], queries: int, anticipation_s: float
 ) -> Assignment:
     """Pair slot i with the i-th action in time order; the rest are negatives."""
     if queries <= 0:
         raise TargetError(f"queries must be positive, got {queries}")
-    anticipation_ms = round(anticipation_s * 1000)
-    _check_gt(gt, anticipation_ms)
-    kept = min(len(gt), queries)
-    pairs = [(i, i) for i in range(kept)]
-    slots = _slots_from_pairs(pairs, gt, queries, anticipation_ms, multihot=False)
-    return Assignment(HeadVariant.Q_ACT, tuple(slots), truncated=len(gt) > queries)
+    cfg = BenchConfig(anticipation_s=anticipation_s, queries=queries)
+    return assign_for_variant(HeadVariant.Q_ACT, gt, cfg)
 
 
 def hungarian(cost: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
@@ -255,81 +258,79 @@ def hungarian(cost: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _pairs(
+    spec: HeadSpec,
+    gt: Sequence[GtAction],
+    cfg: BenchConfig,
+    outputs: Sequence[SlotOutput] | None,
+) -> Sequence[tuple[int, int]]:
+    """(slot, gt) index pairs under the head's pairing rule."""
+    if not gt:
+        return ()
+    if spec.pairing is Pairing.SEQUENTIAL:
+        return [(i, i) for i in range(min(len(gt), cfg.queries))]
+    if spec.pairing is Pairing.ANCHOR_BINS:
+        pairs: list[tuple[int, int]] = []
+        for k, action in enumerate(gt):
+            b = action.offset_ms * cfg.queries // cfg.anticipation_ms
+            if not pairs or pairs[-1][0] != b:  # gt is sorted, so bins never decrease
+                pairs.append((b, k))
+        return pairs
+    if spec.pairing is Pairing.HUNGARIAN_TIME:
+        ta_s = cfg.anticipation_s
+        cost = [
+            [abs(decode_time(out.time_raw, ta_s) - g.offset_s) / ta_s for g in gt]
+            for out in outputs
+        ]
+    else:
+        cost = [[1.0 - out.class_probs[_class_idx(g)] for g in gt] for out in outputs]
+    return hungarian(cost)
+
+
 def assign_for_variant(
     variant: HeadVariant,
     gt: Sequence[GtAction],
     cfg: BenchConfig,
     outputs: Sequence[SlotOutput] | None = None,
 ) -> Assignment:
-    """Build per-slot targets for one clip.
+    """Build per-slot targets for one clip under the rules in :data:`HEADS`.
 
     ``outputs`` (the model's current slot outputs) is required for the
     Hungarian variants, whose pairing depends on what the model predicts,
     and ignored otherwise.
     """
+    spec = HEADS[variant]
     ta_ms = cfg.anticipation_ms
     _check_gt(gt, ta_ms)
     q = cfg.queries
     n_classes = cfg.num_classes
-    sentinel = SlotTarget(gt_index=None, actionness=0.0, class_index=n_classes)
-
-    if variant is HeadVariant.ANCHORS:
-        slots: list[SlotTarget] = [BLANK] * q
-        truncated = False
-        for k, action in enumerate(gt):
-            b = action.offset_ms * q // ta_ms
-            if slots[b].gt_index is not None:
-                truncated = True
-                continue
-            # In-bin offset in [0, 1), exact in integer arithmetic.
-            slots[b] = SlotTarget(
-                gt_index=k,
-                actionness=1.0,
-                class_index=_class_idx(action),
-                time=(action.offset_ms * q - b * ta_ms) / ta_ms,
-            )
-        return Assignment(variant, tuple(slots), truncated)
-
-    if variant in OUTPUT_DEPENDENT:
+    if spec.needs_outputs:
         if outputs is None:
             raise TargetError(f"{variant.value} pairing needs model outputs")
         if len(outputs) != q:
             raise TargetError(f"expected {q} slot outputs, got {len(outputs)}")
-        if gt:
-            if variant is HeadVariant.Q_HUNG_TIME:
-                cost = [
-                    [
-                        abs(decode_time(out.time_raw, cfg.anticipation_s) - g.offset_s)
-                        / cfg.anticipation_s
-                        for g in gt
-                    ]
-                    for out in outputs
-                ]
-            else:
-                cost = [
-                    [1.0 - out.class_probs[_class_idx(g)] for g in gt] for out in outputs
-                ]
-            pairs: Sequence[tuple[int, int]] = hungarian(cost)
-        else:
-            pairs = ()
-        slots = _slots_from_pairs(pairs, gt, q, ta_ms, multihot=False)
-        return Assignment(variant, tuple(slots), truncated=len(gt) > q)
+    pairs = _pairs(spec, gt, cfg, outputs)
 
-    base = sequential_assign(gt, q, cfg.anticipation_s)
-    slots = list(base.slots)
-    if variant is HeadVariant.Q_EOS:
-        for i, slot in enumerate(slots):
-            if slot.gt_index is None:
-                slots[i] = sentinel
-                slots[i + 1 :] = [UNCONSTRAINED] * (q - i - 1)
-                break
-    elif variant is HeadVariant.Q_BCKG:
-        slots = [sentinel if s.gt_index is None else s for s in slots]
-    elif variant is HeadVariant.Q_BCE:
-        empty = SlotTarget(gt_index=None, actionness=0.0, class_multihot=(0,) * n_classes)
-        slots = _slots_from_pairs(base.paired, gt, q, ta_ms, multihot=True)
-        slots = [empty if s.gt_index is None else s for s in slots]
-    elif variant is not HeadVariant.Q_ACT:  # pragma: no cover - enum is exhaustive
-        raise TargetError(f"unhandled variant {variant!r}")
-
-    return Assignment(variant, tuple(slots), truncated=base.truncated)
+    unpaired = BLANK
+    if spec.sentinel:
+        unpaired = SlotTarget(gt_index=None, actionness=0.0, class_index=n_classes)
+    elif spec.multihot:
+        unpaired = SlotTarget(gt_index=None, actionness=0.0, class_multihot=(0,) * n_classes)
+    slots = [unpaired] * q
+    # Time target (t - slot start) / slot span in integer ms: in-bin for anchors.
+    scale, step = (q, ta_ms) if spec.pairing is Pairing.ANCHOR_BINS else (1, 0)
+    for i, k in pairs:
+        action = gt[k]
+        c = _class_idx(action)
+        hot = tuple(int(j == c) for j in range(n_classes)) if spec.multihot else None
+        slots[i] = SlotTarget(
+            gt_index=k,
+            actionness=1.0,
+            class_index=None if spec.multihot else c,
+            class_multihot=hot,
+            time=(action.offset_ms * scale - i * step) / ta_ms,
+        )
+    if spec.eos:
+        first = next((i for i, s in enumerate(slots) if s.gt_index is None), q)
+        slots[first + 1 :] = [UNCONSTRAINED] * (q - first - 1)
+    return Assignment(variant, tuple(slots), truncated=len(pairs) < len(gt))

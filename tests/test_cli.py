@@ -389,6 +389,58 @@ class TestLossCheck:
         assert "kickcast: error:" in err
 
 
+class TestBadInput:
+    @staticmethod
+    def assert_one_error_line(code, err):
+        assert code == 2
+        assert err.startswith("kickcast: error:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--ta", "inf", "anticipation_s"),
+            ("--ta", "nan", "anticipation_s"),
+            ("--ta", "0.0001", "anticipation_s"),
+            ("--ta", "1e308", "anticipation_s"),
+            ("--tc", "0.0004", "context_s"),
+            ("--fps", "inf", "fps"),
+        ],
+    )
+    def test_bad_window_config(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "c.json"
+        code, _, err = run(["prepare", str(FIXTURE_DIR), flag, value, "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fmt, body, match",
+        [
+            ("kickcast-eval-clips", {"config": {}, "clips": 5}, "'clips' must be a list"),
+            ("kickcast-eval-clips", {"config": {}, "clips": [5]}, "clip #0"),
+            ("kickcast-predictions", {"predictions": 5}, "'predictions' must be a list"),
+            ("kickcast-predictions", {"predictions": [[1]]}, "prediction #0"),
+            ("kickcast-loss-check", {"clips": 5}, "'clips' must be a list"),
+            ("kickcast-loss-check", {"clips": [[1]]}, "clip #0"),
+            ("kickcast-loss-check", {"weights": 5, "clips": []}, "'weights' must be a list"),
+            ("kickcast-loss-check", {"weights": [[1]], "clips": []}, "weights"),
+        ],
+    )
+    def test_malformed_record_arrays(self, tmp_path, clips_file, capsys, fmt, body, match):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"format": fmt, "version": 1, **body}))
+        if fmt == "kickcast-loss-check":
+            argv = ["loss-check", str(bad)]
+        elif fmt == "kickcast-predictions":
+            argv = ["evaluate", "--gt", str(clips_file), "--pred", str(bad)]
+        else:
+            argv = ["evaluate", "--gt", str(bad), "--pred", str(bad)]
+        code, _, err = run(argv, capsys)
+        self.assert_one_error_line(code, err)
+        assert match in err
+
+
 class TestParser:
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):

@@ -101,6 +101,28 @@ class TestConfigCodec:
         json.dumps(doc)
         assert doc["anticipation_s"] == 5.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_classes", 3),
+            ("num_classes", 12),
+            ("anticipation_s", math.inf),
+            ("context_s", math.nan),
+            ("fps", math.inf),
+            ("lambda_time", math.inf),
+            ("anticipation_s", 0.0001),
+            ("context_s", 0.0004),
+            ("anticipation_s", 1e308),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(FileFormatError, match=field):
+            config_from_doc({**config_to_doc(CFG), field: value})
+
+    def test_huge_integer_rejected(self):
+        with pytest.raises(FileFormatError, match="bad config"):
+            config_from_doc({**config_to_doc(CFG), "context_s": 10**400})
+
 
 class TestEvalClipsFile:
     def test_round_trip(self, tmp_path, eval_clips):

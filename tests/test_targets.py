@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickcast.annotations import ActionClass, CLASS_INDEX
+from kickcast.cli import main
 from kickcast.config import BenchConfig
 from kickcast.losses import SlotOutput
+from kickcast.metrics import MetricError, decode_predictions
 from kickcast.targets import (
     BLANK,
-    OUTPUT_DEPENDENT,
+    HEADS,
     UNCONSTRAINED,
     Assignment,
     HeadVariant,
@@ -25,7 +27,9 @@ from kickcast.targets import (
     hungarian,
     sequential_assign,
 )
-from kickcast.windowing import GtAction
+from kickcast.windowing import GtAction, make_train_clips
+
+from conftest import FIXTURE_DIR
 
 CFG = BenchConfig()  # T_a = 5 s, q = 8, C = 10
 C = CFG.num_classes
@@ -263,7 +267,7 @@ class TestHungarianVariants:
         assert a.slots == (BLANK,) * CFG.queries
 
     def test_outputs_required(self):
-        for variant in OUTPUT_DEPENDENT:
+        for variant in (v for v, spec in HEADS.items() if spec.needs_outputs):
             with pytest.raises(TargetError, match="needs model outputs"):
                 assign_for_variant(variant, gts(400), CFG)
 
@@ -340,3 +344,38 @@ class TestAssignmentRecord:
             assign_for_variant(
                 HeadVariant.Q_ACT, gts(400, label=ActionClass.GOAL), CFG
             )
+
+
+class TestHeadTable:
+    def test_covers_every_variant(self):
+        assert set(HEADS) == set(HeadVariant)
+
+    @pytest.mark.parametrize("variant", list(HeadVariant), ids=lambda v: v.value)
+    def test_targets_fit_the_decoder(self, variant, corpus):
+        widths = []
+        for width in range(C - 1, C + 3):
+            outputs = [slot_out(classes=width)] * CFG.queries
+            try:
+                decode_predictions("clip", outputs, variant, CFG)
+            except MetricError:
+                continue
+            widths.append(width)
+        (width,) = widths
+        indices, hot_widths = set(), set()
+        game = next(g for g in corpus if g.split == "train")
+        for clip in make_train_clips(game, CFG)[::5]:
+            outputs = [slot_out(classes=width, time_raw=-0.4 * i) for i in range(CFG.queries)]
+            for slot in assign_for_variant(variant, clip.future_actions, CFG, outputs).slots:
+                if slot.class_index is not None:
+                    indices.add(slot.class_index)
+                if slot.class_multihot is not None:
+                    hot_widths.add(len(slot.class_multihot))
+        assert indices or hot_widths
+        assert all(0 <= c < width for c in indices)
+        assert hot_widths <= {width}
+
+    @pytest.mark.parametrize("variant", list(HeadVariant), ids=lambda v: v.value)
+    def test_cli_refuses_exactly_output_dependent_heads(self, variant, tmp_path, capsys):
+        argv = ["targets", str(FIXTURE_DIR), "--variant", variant.value, "--split", "train"]
+        code = main([*argv, "--out", str(tmp_path / "targets.json")])
+        assert code == (2 if HEADS[variant].needs_outputs else 0)
