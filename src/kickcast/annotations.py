@@ -22,6 +22,7 @@ are a hard error: silently skipping records would corrupt benchmark results.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import re
 from collections import Counter
@@ -74,6 +75,7 @@ _LABEL_LOOKUP["player successful tackle"] = ActionClass.SUCCESSFUL_TACKLE
 _LABEL_LOOKUP["succesful tackle"] = ActionClass.SUCCESSFUL_TACKLE
 
 
+@functools.lru_cache(maxsize=64)  # bounded: labels come from input files
 def parse_label(raw: str) -> ActionClass:
     """Map a raw label string to an :class:`ActionClass`; unknown labels raise."""
     try:

@@ -8,16 +8,22 @@ Per-class AP uses all-point interpolation (the precision envelope over
 recall), mAP@delta is the unweighted mean over classes that have ground
 truth, and the headline number averages mAP over the six tolerances.
 
-AP is accumulated in exact rational arithmetic and rounded once at the end,
-so reports are bit-for-bit reproducible and independent of input order.
+``evaluate`` ranks each class once (a stable sort, so identical predictions
+keep their input order); read within one clip, that ranking is also the
+matching order.  Per tolerance only (clip, class) groups with ground truth
+are matched, by bisection into their sorted times.  AP visits only TP ranks
+and adds one exact rational per precision-envelope segment, rounded once at
+the end, so reports are bit-for-bit reproducible and independent of input
+order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .annotations import CLASS_INDEX, RETAINED_CLASSES, ActionClass
@@ -81,15 +87,6 @@ class EvalReport:
     clamped_predictions: int = 0
 
 
-def _argmax(values: Sequence[float]) -> int:
-    """Index of the maximum, first occurrence on ties."""
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best
-
-
 def decode_predictions(
     clip_id: str,
     outputs: Sequence[SlotOutput],
@@ -116,7 +113,8 @@ def decode_predictions(
             )
         if not spec.multihot:
             check_distribution(out.class_probs)
-        if spec.eos and _argmax(out.class_probs) == n_classes:
+        # max() keeps the first index on ties
+        if spec.eos and max(range(want), key=out.class_probs.__getitem__) == n_classes:
             break
         if spec.pairing is Pairing.ANCHOR_BINS:
             time_s = slot * bin_s + decode_time(out.time_raw, bin_s)
@@ -136,6 +134,40 @@ def decode_predictions(
     return preds
 
 
+def _check_tolerance(delta: float) -> None:
+    if not (delta > 0.0):  # also rejects NaN
+        raise MetricError(f"tolerance must be positive, got {delta!r}")
+
+
+def _match_group(
+    members: Sequence[tuple[int, float]], gts: Sequence[float], half: float, flags: list[bool]
+) -> None:
+    """Greedy match of one (clip, class) group; sets ``flags[slot]`` for each TP.
+
+    ``members`` are ``(slot, time_s)`` pairs in matching order, ``gts`` is
+    sorted.  The ground truths within reach are one run around the bisection
+    point, found by stepping outwards with the match's own test: the float
+    window ``[t - half, t + half]`` misses boundary cases it accepts.
+    """
+    taken = [False] * len(gts)
+    for slot, t in members:
+        lo = hi = bisect_left(gts, t)
+        while lo and abs(t - gts[lo - 1]) <= half:
+            lo -= 1
+        while hi < len(gts) and abs(t - gts[hi]) <= half:
+            hi += 1
+        best = -1
+        best_dist = math.inf
+        for j in range(lo, hi):
+            dist = abs(t - gts[j])
+            if not taken[j] and dist <= half and dist < best_dist:
+                best = j
+                best_dist = dist
+        if best >= 0:
+            taken[best] = True
+            flags[slot] = True
+
+
 def match_window(
     preds: Sequence[Prediction], gt_times_s: Sequence[float], delta: float
 ) -> list[bool]:
@@ -146,27 +178,10 @@ def match_window(
     included; each ground truth matches at most once.  Flags are returned in
     the input order.
     """
-    if not (delta > 0.0):
-        raise MetricError(f"tolerance must be positive, got {delta!r}")
-    half = delta / 2.0
+    _check_tolerance(delta)
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, preds[i].time_s))
-    gts = sorted(gt_times_s)
-    taken = [False] * len(gts)
     flags = [False] * len(preds)
-    for i in order:
-        t = preds[i].time_s
-        best = -1
-        best_dist = math.inf
-        for j, g in enumerate(gts):
-            if taken[j]:
-                continue
-            dist = abs(t - g)
-            if dist <= half and dist < best_dist:
-                best = j
-                best_dist = dist
-        if best >= 0:
-            taken[best] = True
-            flags[i] = True
+    _match_group([(i, preds[i].time_s) for i in order], sorted(gt_times_s), delta / 2.0, flags)
     return flags
 
 
@@ -174,26 +189,21 @@ def average_precision(ranked_flags: Sequence[bool], total_gt: int) -> float:
     """All-point interpolated AP from rank-ordered TP/FP flags.
 
     ``ranked_flags`` must already be in global descending-confidence order.
-    Computed exactly (rationals), rounded once to float.
+    The envelope at the k-th TP is the best ``j / rank_j`` over j >= k, so
+    only TP ranks are visited.  Computed exactly (rationals), rounded once.
     """
     if total_gt <= 0:
         raise MetricError("average precision needs at least one ground truth")
-    if not ranked_flags:
-        return 0.0
-    tps = list(accumulate(int(f) for f in ranked_flags))
+    ranks = list(compress(range(1, len(ranked_flags) + 1), ranked_flags))
     area = Fraction(0)
-    envelope = Fraction(0)
-    for i in range(len(ranked_flags) - 1, -1, -1):
-        precision = Fraction(tps[i], i + 1)
-        if precision > envelope:
-            envelope = precision
-        if ranked_flags[i]:
-            area += envelope
+    num, den, count = 0, 1, 0  # envelope num/den and the TPs it covers so far
+    for k in range(len(ranks), 0, -1):
+        if k * den > num * ranks[k - 1]:
+            area += Fraction(num * count, den)
+            num, den, count = k, ranks[k - 1], 0
+        count += 1
+    area += Fraction(num * count, den)
     return float(area / total_gt)
-
-
-def _ranking_key(p: Prediction) -> tuple:
-    return (-p.confidence, p.time_s, p.label.value, p.clip_id)
 
 
 def evaluate(
@@ -204,9 +214,12 @@ def evaluate(
     """Score predictions against the ground truth of the given clips."""
     if not deltas:
         raise MetricError("need at least one tolerance")
+    for delta in deltas:
+        _check_tolerance(delta)
     if len(set(deltas)) != len(deltas):
         raise MetricError(f"duplicate tolerances in {deltas!r}")
     by_id: dict[str, EvalClip] = {}
+    gt_times: dict[ActionClass, dict[str, list[float]]] = {c: {} for c in RETAINED_CLASSES}
     for clip in clips:
         if clip.clip_id in by_id:
             raise MetricError(f"duplicate clip id {clip.clip_id!r}")
@@ -216,9 +229,9 @@ def evaluate(
                 raise MetricError(
                     f"clip {clip.clip_id!r} has excluded class {action.label.value!r}"
                 )
+            gt_times[action.label].setdefault(clip.clip_id, []).append(action.offset_s)
 
-    grouped: dict[tuple[str, ActionClass], list[Prediction]] = {}
-    n_preds = 0
+    by_class: dict[ActionClass, list[Prediction]] = {c: [] for c in RETAINED_CLASSES}
     n_clamped = 0
     for pred in predictions:
         clip = by_id.get(pred.clip_id)
@@ -231,43 +244,30 @@ def evaluate(
                 f"prediction at {pred.time_s} s outside {clip.window_len_s} s window"
                 f" of clip {pred.clip_id!r}"
             )
-        grouped.setdefault((pred.clip_id, pred.label), []).append(pred)
-        n_preds += 1
+        by_class[pred.label].append(pred)
         n_clamped += pred.time_clamped
 
-    gt_times: dict[tuple[str, ActionClass], list[float]] = {}
-    gt_totals: dict[ActionClass, int] = {label: 0 for label in RETAINED_CLASSES}
-    for clip in by_id.values():
-        for action in clip.gt_actions:
-            gt_times.setdefault((clip.clip_id, action.label), []).append(action.offset_s)
-            gt_totals[action.label] += 1
+    scores: dict[float, dict[ActionClass, ClassScore]] = {d: {} for d in deltas}
+    for label, ranked in by_class.items():
+        ranked.sort(key=lambda p: (-p.confidence, p.time_s, p.clip_id))
+        class_gt = {clip_id: sorted(times) for clip_id, times in gt_times[label].items()}
+        groups: dict[str, list[tuple[int, float]]] = {}
+        for slot, p in enumerate(ranked):
+            if p.clip_id in class_gt:
+                groups.setdefault(p.clip_id, []).append((slot, p.time_s))
+        total = sum(map(len, class_gt.values()))
+        for delta in deltas:
+            flags = [False] * len(ranked)
+            for clip_id, members in groups.items():
+                _match_group(members, class_gt[clip_id], delta / 2.0, flags)
+            tp = sum(flags)
+            ap = average_precision(flags, total) if total > 0 else None
+            scores[delta][label] = ClassScore(ap=ap, tp=tp, fp=len(ranked) - tp, gt=total)
 
-    scores: dict[float, dict[ActionClass, ClassScore]] = {}
     map_at: dict[float, float] = {}
     for delta in deltas:
-        per_class: dict[ActionClass, ClassScore] = {}
-        for label in RETAINED_CLASSES:
-            pool: list[tuple[Prediction, bool]] = []
-            for (clip_id, pred_label), preds in grouped.items():
-                if pred_label is not label:
-                    continue
-                # Canonical in-group order first: flags of byte-identical
-                # predictions must not depend on input file order.
-                preds = sorted(preds, key=lambda p: (-p.confidence, p.time_s))
-                flags = match_window(preds, gt_times.get((clip_id, label), ()), delta)
-                pool.extend(zip(preds, flags))
-            pool.sort(key=lambda pair: _ranking_key(pair[0]))
-            ranked_flags = [flag for _, flag in pool]
-            tp = sum(ranked_flags)
-            total = gt_totals[label]
-            ap = average_precision(ranked_flags, total) if total > 0 else None
-            per_class[label] = ClassScore(
-                ap=ap, tp=tp, fp=len(ranked_flags) - tp, gt=total
-            )
-        scores[delta] = per_class
-        with_gt = [s.ap for s in per_class.values() if s.ap is not None]
+        with_gt = [s.ap for s in scores[delta].values() if s.ap is not None]
         map_at[delta] = math.fsum(with_gt) / len(with_gt) if with_gt else 0.0
-
     average = math.fsum(map_at[d] for d in deltas) / len(deltas)
     return EvalReport(
         deltas=tuple(deltas),
@@ -276,6 +276,6 @@ def evaluate(
         map_at=map_at,
         average=average,
         clip_count=len(by_id),
-        prediction_count=n_preds,
+        prediction_count=sum(map(len, by_class.values())),
         clamped_predictions=n_clamped,
     )

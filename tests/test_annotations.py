@@ -60,6 +60,17 @@ class TestParseLabel:
         with pytest.raises(AnnotationError, match="unknown label"):
             parse_label("Rabona")
 
+    def test_unknown_label_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(AnnotationError, match=r"^unknown label 'Rabona'$"):
+                parse_label("Rabona")
+
+    def test_cache_is_bounded(self):
+        assert parse_label.cache_info().maxsize == 64
+        for i in range(200):  # 200 distinct spellings of one label
+            assert parse_label("Pass" + " " * i) is ActionClass.PASS
+        assert parse_label.cache_info().currsize <= 64
+
 
 class TestClassSets:
     def test_ten_retained_two_excluded(self):

@@ -227,6 +227,18 @@ class TestPredictionsFile:
             read_predictions(path)
 
 
+    @pytest.mark.parametrize("label", [7, ["Pass"], {"name": "Pass"}, None])
+    def test_non_string_label_rejected(self, tmp_path, label):
+        doc = predictions_to_doc([])
+        doc["predictions"] = [
+            {"clip_id": "c", "label": label, "time_s": 1.0, "confidence": 0.5}
+        ]
+        path = tmp_path / "bad.json"
+        path.write_text(dump_json(doc))
+        with pytest.raises(FileFormatError, match="prediction #0"):
+            read_predictions(path)
+
+
 class TestTargetsFile:
     def test_doc_shape(self, eval_clips):
         pairs = [

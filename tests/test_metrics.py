@@ -221,6 +221,52 @@ class TestMatchWindow:
         want = naive_flags(raw_preds, gt_times, delta)
         assert got == want
 
+    def test_float_window_boundary_counterexample(self):
+        # |t - g| <= 1.5 holds although g < t - 1.5 in floats: a plain
+        # [t - half, t + half] bisection window would miss this match
+        t, g = 1.8694184655399038, 0.3694184655399037
+        assert abs(t - g) <= 1.5 and g < t - 1.5
+        assert match_window([pred(make_clip([]), PASS, t, 0.9)], [g], 3.0) == [True]
+        assert naive_flags([(t, 0.9)], [g], 3.0) == [True]
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_boundary_ground_truths_match_naive(self, data):
+        delta = data.draw(st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, math.inf]))
+        on_grid = st.integers(0, 5_000).map(lambda ms: ms / 1000)
+        times = data.draw(st.lists(st.one_of(on_grid, st.floats(0, 5)), min_size=1, max_size=5))
+        candidates = []
+        for t in times:
+            for edge in (t - delta / 2, t + delta / 2):
+                if math.isfinite(edge):
+                    candidates += [
+                        edge,
+                        math.nextafter(edge, -math.inf),
+                        math.nextafter(edge, math.inf),
+                        round(edge * 1000) / 1000,
+                    ]
+        candidates += times
+        gt_times = data.draw(st.lists(st.sampled_from(candidates), max_size=6))
+        raw = [(t, data.draw(st.sampled_from([0.25, 0.5, 0.75]))) for t in times]
+        got = match_window([pred(make_clip([]), PASS, t, c) for t, c in raw], gt_times, delta)
+        assert got == naive_flags(raw, gt_times, delta)
+
+
+def fraction_ap(ranked_flags, total_gt):
+    """Per-rank exact AP: the envelope is updated at every rank, right to left."""
+    tp = 0
+    precisions = []
+    for i, flag in enumerate(ranked_flags):
+        tp += flag
+        precisions.append(Fraction(tp, i + 1))
+    area = Fraction(0)
+    envelope = Fraction(0)
+    for i in range(len(ranked_flags) - 1, -1, -1):
+        envelope = max(envelope, precisions[i])
+        if ranked_flags[i]:
+            area += envelope
+    return float(area / total_gt)
+
 
 class TestAveragePrecision:
     def test_worked_five_sixths(self):
@@ -250,6 +296,22 @@ class TestAveragePrecision:
         # ranks: FP, TP, TP -> precisions at TPs are 1/2, 2/3 -> envelope 2/3
         ap = average_precision([False, True, True], 2)
         assert ap == float((Fraction(2, 3) + Fraction(2, 3)) / 2)
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.lists(st.booleans(), max_size=60),
+            st.integers(0, 40).map(lambda n: [True] * n),
+            st.integers(0, 40).map(lambda n: [False] * n),
+            st.tuples(st.lists(st.booleans(), max_size=20), st.integers(0, 500)).map(
+                lambda pair: pair[0] + [False] * pair[1]
+            ),
+        ),
+        st.integers(0, 5),
+    )
+    def test_exact_against_per_rank_fractions(self, flags, missed):
+        total = max(sum(flags) + missed, 1)
+        assert average_precision(flags, total) == fraction_ap(flags, total)
 
 
 class TestEvaluate:
@@ -283,6 +345,18 @@ class TestEvaluate:
         report = evaluate(clips, [])
         assert report.average == 0.0
         assert report.prediction_count == 0
+
+    @pytest.mark.parametrize(
+        "deltas", [(-1.0, math.nan), (math.nan,), (1.0, 0.0), (math.nan, math.nan)]
+    )
+    def test_bad_tolerance_rejected_without_predictions(self, deltas):
+        with pytest.raises(MetricError, match="tolerance must be positive"):
+            evaluate([make_clip([(PASS, 1_000)])], [], deltas=deltas)
+
+    def test_bad_tolerance_rejected_for_groups_without_gt(self):
+        clips = [make_clip([(PASS, 1_000)])]
+        with pytest.raises(MetricError, match="tolerance must be positive"):
+            evaluate(clips, [pred(clips[0], SHOT, 1.0, 0.5)], deltas=(1.0, -2.0))
 
     def test_cross_class_matches_forbidden(self):
         clips = [make_clip([(PASS, 1_000)])]
