@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -104,6 +106,9 @@ class ActionInstance:
         return (self.half, self.time_ms, self.label.value)
 
 
+_HALF_TIME = operator.attrgetter("half", "time_ms")
+
+
 @dataclass(frozen=True)
 class GameAnnotations:
     """Canonical, sorted annotation corpus for one game."""
@@ -116,6 +121,16 @@ class GameAnnotations:
     def __post_init__(self) -> None:
         if self.split not in SPLITS:
             raise AnnotationError(f"split must be one of {SPLITS}, got {self.split!r}")
+        # Both tilings walk each half's actions in time order.  Only neighbours
+        # out of (half, time_ms) order or tied on it need the full sort key.
+        actions = self.actions
+        times = list(map(_HALF_TIME, actions))
+        for i in itertools.compress(range(1, len(times)), map(operator.ge, times, times[1:])):
+            if actions[i].sort_key < actions[i - 1].sort_key:
+                raise AnnotationError(
+                    f"actions must be in (half, time_ms, label) order: "
+                    f"action #{i} {actions[i].sort_key} follows {actions[i - 1].sort_key}"
+                )
 
     def half_actions(self, half: int) -> tuple[ActionInstance, ...]:
         return tuple(a for a in self.actions if a.half == half)

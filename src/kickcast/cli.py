@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .annotations import GameAnnotations, class_stats, filter_classes, parse_annotations
@@ -35,6 +34,7 @@ from .fileio import (
     write_eval_clips,
     write_predictions,
     write_targets,
+    write_text,
 )
 from .losses import LossParts, loss_class, loss_detection, loss_segmentation, loss_time, total_loss
 from .metrics import DEFAULT_DELTAS, evaluate
@@ -140,7 +140,7 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
         {"format": "kickcast-loss-report", "version": VERSION, "clips": rows, "mean": mean}
     )
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -153,7 +153,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate(clips, predictions, deltas)
     text = RENDERERS[args.format](report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -3,7 +3,11 @@
 All documents are JSON with a ``format`` tag and integer ``version``.  Files
 are written canonically — sorted keys, two-space indent, records in a
 documented sort order, trailing newline — so identical inputs produce
-byte-identical files no matter how the records were generated.
+byte-identical files no matter how the records were generated.  They are
+written by a small recursive encoder that emits the bytes of
+``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``: with any
+``indent`` set, CPython's ``json`` falls back from its C encoder to the
+pure-Python one, which took most of the time of ``kickcast targets``.
 
 Formats (all version 1):
 
@@ -26,12 +30,13 @@ Formats (all version 1):
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .annotations import parse_label
 from .config import BenchConfig
@@ -52,13 +57,104 @@ class FileFormatError(ValueError):
     """Raised when a document does not follow its declared format."""
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+#: JSON text of a scalar, keyed by its exact type.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _encode_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+@functools.lru_cache(maxsize=None)  # one entry per nesting depth
+def _breaks(depth: int) -> tuple[str, str]:
+    """(newline + indent, comma + newline + indent) at ``depth``."""
+    newline = "\n" + "  " * depth
+    return newline, "," + newline
+
+
+def _encode(value: Any, depth: int) -> str:
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is dict:
+        return _encode_dict(value, depth)
+    if kind is list or kind is tuple:
+        return _encode_list(value, depth)
+    # Subclasses of built-in types, in the order json's encoder tests them.
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _encode_float(value)
+    if isinstance(value, (list, tuple)):
+        return _encode_list(value, depth)
+    if isinstance(value, dict):
+        return _encode_dict(value, depth)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _encode_list(items: list | tuple, depth: int) -> str:
+    if not items:
+        return "[]"
+    close = _breaks(depth)[0]
+    newline, sep = _breaks(depth + 1)
+    kinds = set(map(type, items))
+    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar is not None:
+        body = sep.join(map(scalar, items))
+    else:
+        body = sep.join([_encode(item, depth + 1) for item in items])
+    return f"[{newline}{body}{close}]"
+
+
+def _encode_dict(obj: dict, depth: int) -> str:
+    if not obj:
+        return "{}"
+    close = _breaks(depth)[0]
+    newline, sep = _breaks(depth + 1)
+    parts = []
+    for key in sorted(obj):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        value = obj[key]
+        scalar = _SCALARS.get(type(value))
+        text = scalar(value) if scalar is not None else _encode(value, depth + 1)
+        parts.append(f"{_encode_str(key)}: {text}")
+    return f"{{{newline}{sep.join(parts)}{close}}}"
+
+
 def dump_json(doc: Any) -> str:
-    """Canonical JSON serialization (stable bytes for stable content)."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical JSON serialization (stable bytes for stable content).
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"`` for documents with string keys.
+    """
+    return _encode(doc, 0) + "\n"
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a FileFormatError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def write_json(path: str | Path, doc: Any) -> None:
-    Path(path).write_text(dump_json(doc), encoding="utf-8")
+    write_text(path, dump_json(doc))
 
 
 def _load(path: str | Path, expected_format: str) -> dict:

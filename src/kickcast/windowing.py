@@ -10,6 +10,7 @@ the following anticipation-window actions for supervision.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .annotations import CLASS_INDEX, ActionClass, ActionInstance, GameAnnotations
@@ -136,7 +137,12 @@ def make_eval_clips(game: GameAnnotations, cfg: BenchConfig) -> list[EvalClip]:
 
 
 def make_train_clips(game: GameAnnotations, cfg: BenchConfig) -> list[TrainClip]:
-    """Slide a ``context_s`` window with 90% overlap (stride = context_s / 10)."""
+    """Slide a ``context_s`` window with 90% overlap (stride = context_s / 10).
+
+    Context actions lie in ``[start, ctx_end)`` and future actions in
+    ``[ctx_end, ctx_end + ta_ms)``; each clip finds both spans by bisection
+    into the half's sorted action times.
+    """
     tc_ms = cfg.context_ms
     ta_ms = cfg.anticipation_ms
     stride = max(1, round(tc_ms / 10))
@@ -146,18 +152,14 @@ def make_train_clips(game: GameAnnotations, cfg: BenchConfig) -> list[TrainClip]
         duration = _half_timeline_ms(actions, game.half_durations_ms.get(half), ta_ms)
         if duration is None or duration < tc_ms:
             continue
+        times = [a.time_ms for a in actions]
         for start in range(0, duration - tc_ms + 1, stride):
             ctx_end = start + tc_ms
-            context = tuple(
-                GtAction(a.label, a.time_ms - start)
-                for a in actions
-                if start <= a.time_ms < ctx_end
-            )
-            future = tuple(
-                GtAction(a.label, a.time_ms - ctx_end)
-                for a in actions
-                if ctx_end <= a.time_ms < ctx_end + ta_ms
-            )
+            lo = bisect_left(times, start)
+            mid = bisect_left(times, ctx_end, lo)
+            hi = bisect_left(times, ctx_end + ta_ms, mid)
+            context = tuple(GtAction(a.label, a.time_ms - start) for a in actions[lo:mid])
+            future = tuple(GtAction(a.label, a.time_ms - ctx_end) for a in actions[mid:hi])
             clips.append(
                 TrainClip(
                     game_id=game.game_id,

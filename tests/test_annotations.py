@@ -231,6 +231,34 @@ class TestCanonicalization:
             keys = [a.sort_key for a in game.actions]
             assert keys == sorted(keys)
 
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [(1, 9000, ActionClass.PASS), (1, 1000, ActionClass.PASS)],
+            [(2, 1000, ActionClass.PASS), (1, 9000, ActionClass.PASS)],
+            [(1, 1000, ActionClass.SHOT), (1, 1000, ActionClass.DRIVE)],
+        ],
+    )
+    def test_unsorted_actions_rejected(self, order):
+        actions = tuple(
+            ActionInstance(game_id="g", half=h, time_ms=t, label=lab) for h, t, lab in order
+        )
+        with pytest.raises(AnnotationError, match="action #1"):
+            GameAnnotations(game_id="g", split="train", half_durations_ms={}, actions=actions)
+        GameAnnotations(
+            game_id="g",
+            split="train",
+            half_durations_ms={},
+            actions=tuple(sorted(actions, key=lambda a: a.sort_key)),
+        )
+
+    def test_duplicate_actions_allowed(self):
+        action = ActionInstance(game_id="g", half=1, time_ms=1000, label=ActionClass.PASS)
+        game = GameAnnotations(
+            game_id="g", split="train", half_durations_ms={}, actions=(action, action)
+        )
+        assert len(game.actions) == 2
+
     def test_round_trip_dict(self, raw_corpus):
         for game in raw_corpus:
             doc = serialize_annotations(game)

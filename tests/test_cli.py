@@ -35,6 +35,43 @@ def oracle_file(tmp_path, clips_file):
     return out
 
 
+@pytest.fixture()
+def check_file(tmp_path):
+    from kickcast.config import BenchConfig
+    from kickcast.fileio import config_to_doc, dump_json
+
+    cfg = BenchConfig()
+    C = cfg.num_classes
+    doc = {
+        "format": "kickcast-loss-check",
+        "version": 1,
+        "config": config_to_doc(cfg),
+        "clips": [
+            {
+                "id": "demo",
+                "variant": "q-act",
+                "outputs": [
+                    {"actionness": 0.5, "class_probs": [0.1] * C, "time_raw": -1.0}
+                ]
+                * cfg.queries,
+                "slots": [
+                    {
+                        "gt_index": None,
+                        "actionness": 0.0,
+                        "class_index": None,
+                        "class_multihot": None,
+                        "time": None,
+                    }
+                ]
+                * cfg.queries,
+            }
+        ],
+    }
+    path = tmp_path / "check.json"
+    path.write_text(dump_json(doc))
+    return path
+
+
 class TestPrepare:
     def test_writes_clip_file(self, clips_file):
         clips, cfg = read_eval_clips(clips_file)
@@ -332,42 +369,6 @@ class TestEvaluateCommand:
 
 
 class TestLossCheck:
-    @pytest.fixture()
-    def check_file(self, tmp_path):
-        from kickcast.config import BenchConfig
-        from kickcast.fileio import config_to_doc, dump_json
-
-        cfg = BenchConfig()
-        C = cfg.num_classes
-        doc = {
-            "format": "kickcast-loss-check",
-            "version": 1,
-            "config": config_to_doc(cfg),
-            "clips": [
-                {
-                    "id": "demo",
-                    "variant": "q-act",
-                    "outputs": [
-                        {"actionness": 0.5, "class_probs": [0.1] * C, "time_raw": -1.0}
-                    ]
-                    * cfg.queries,
-                    "slots": [
-                        {
-                            "gt_index": None,
-                            "actionness": 0.0,
-                            "class_index": None,
-                            "class_multihot": None,
-                            "time": None,
-                        }
-                    ]
-                    * cfg.queries,
-                }
-            ],
-        }
-        path = tmp_path / "check.json"
-        path.write_text(dump_json(doc))
-        return path
-
     def test_report_structure(self, check_file, capsys):
         import math
 
@@ -413,6 +414,20 @@ class TestBadInput:
         self.assert_one_error_line(code, err)
         assert field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["prepare", "targets", "baseline", "evaluate", "loss-check"])
+    def test_unwritable_out(self, tmp_path, capsys, clips_file, oracle_file, check_file, command):
+        out = tmp_path / "missing" / "out.json"
+        argv = {
+            "prepare": ["prepare", str(FIXTURE_DIR)],
+            "targets": ["targets", str(FIXTURE_DIR), "--variant", "q-act"],
+            "baseline": ["baseline", str(FIXTURE_DIR), "--kind", "oracle"],
+            "evaluate": ["evaluate", "--gt", str(clips_file), "--pred", str(oracle_file)],
+            "loss-check": ["loss-check", str(check_file)],
+        }[command]
+        code, _, err = run([*argv, "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert f"{out}: No such file or directory" in err
 
     @pytest.mark.parametrize(
         "fmt, body, match",

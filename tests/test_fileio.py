@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -45,6 +48,48 @@ from conftest import REPO_ROOT, SCHEMA_DIR
 CFG = BenchConfig()
 
 
+class Mood(str, enum.Enum):
+    CALM = "calm"
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+class Ratio(float):
+    def __repr__(self) -> str:
+        return "Ratio()"
+
+
+def oracle_dump(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**64), 10**40]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, -1e16, 1e-7, 1.5]),
+    st.text(),
+    st.text(alphabet='"\\/[]{},:\x00\x1f\x7f\u00e9\u2028\U0001f600 '),
+    st.sampled_from([Mood.CALM, Level.HIGH]),
+)
+
+
+def wrap_once(children):
+    keys = st.one_of(st.text(max_size=6), st.sampled_from(["a", "b", "", "\x00", "\u00e9"]))
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(keys, children, max_size=5),
+    )
+
+
+JSON_DOCS = st.recursive(JSON_SCALARS, wrap_once, max_leaves=30)
+
+
 @pytest.fixture(scope="module")
 def schema_registry():
     resources = []
@@ -73,6 +118,41 @@ class TestCanonicalJson:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             dump_json({"x": math.nan})
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_DOCS)
+    def test_matches_stdlib_indented_dump(self, doc):
+        assert dump_json(doc) == oracle_dump(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_non_finite_rejected_at_any_depth(self, bad, data):
+        doc = bad
+        for _ in range(data.draw(st.integers(0, 5))):
+            siblings = data.draw(st.lists(JSON_DOCS, max_size=3))
+            at = data.draw(st.integers(0, len(siblings)))
+            items = siblings[:at] + [doc] + siblings[at:]
+            kind = data.draw(st.sampled_from(["list", "tuple", "dict"]))
+            if kind == "dict":
+                keys = data.draw(
+                    st.lists(st.text(max_size=4), min_size=len(items), max_size=len(items), unique=True)
+                )
+                doc = dict(zip(keys, items))
+            else:
+                doc = items if kind == "list" else tuple(items)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            oracle_dump(doc)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_json(doc)
+
+    def test_subclasses_render_as_their_base(self):
+        doc = {Mood.CALM: [Mood.CALM, Level.HIGH, True], "n": Level.HIGH, "f": Ratio(0.5)}
+        assert dump_json(doc) == oracle_dump(doc)
+
+    def test_non_string_key_rejected(self):
+        with pytest.raises(TypeError):
+            dump_json({1: "one"})
 
 
 class TestDeltaCodec:

@@ -5,15 +5,22 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickcast.annotations import ActionClass, parse_annotations_dict
+from kickcast.annotations import (
+    RETAINED_CLASSES,
+    ActionClass,
+    ActionInstance,
+    GameAnnotations,
+    parse_annotations_dict,
+)
 from kickcast.config import BenchConfig
 from kickcast.windowing import (
     EVAL_CONTEXT_MS,
     GtAction,
     TrainClip,
+    _half_timeline_ms,
     action_frame,
     make_eval_clips,
     make_train_clips,
@@ -45,6 +52,33 @@ def make_game(
     if durations is not None:
         doc["halfDurationsMs"] = {str(h): d for h, d in durations.items()}
     return parse_annotations_dict(doc)
+
+
+def reference_train_clips(game, cfg):
+    """Train tiling by two full scans of the half per clip: the oracle for the bisected one."""
+    tc_ms = cfg.context_ms
+    ta_ms = cfg.anticipation_ms
+    stride = max(1, round(tc_ms / 10))
+    clips = []
+    for half in (1, 2):
+        actions = game.half_actions(half)
+        duration = _half_timeline_ms(actions, game.half_durations_ms.get(half), ta_ms)
+        if duration is None or duration < tc_ms:
+            continue
+        for start in range(0, duration - tc_ms + 1, stride):
+            ctx_end = start + tc_ms
+            context = tuple(
+                GtAction(a.label, a.time_ms - start)
+                for a in actions
+                if start <= a.time_ms < ctx_end
+            )
+            future = tuple(
+                GtAction(a.label, a.time_ms - ctx_end)
+                for a in actions
+                if ctx_end <= a.time_ms < ctx_end + ta_ms
+            )
+            clips.append(TrainClip(game.game_id, half, start, ctx_end, context, future))
+    return clips
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +229,42 @@ class TestTrainClips:
                 assert clip.context_actions == ctx
                 assert clip.future_actions == fut
                 assert clip.context_end_ms == s + tc
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_two_scan_reference(self, data):
+        cfg = data.draw(
+            st.builds(
+                BenchConfig,
+                context_s=st.sampled_from([5.0, 3.333, 1.0]),
+                anticipation_s=st.sampled_from([5.0, 10.0]),
+            )
+        )
+        stride = max(1, round(cfg.context_ms / 10))
+        # times on and 1 ms either side of every clip edge: start, ctx_end, ctx_end + ta
+        edge = st.builds(
+            lambda k, shift, jitter: max(0, k * stride + shift + jitter),
+            st.integers(0, 120),
+            st.sampled_from([0, cfg.context_ms, cfg.context_ms + cfg.anticipation_ms]),
+            st.sampled_from([-1, 0, 1]),
+        )
+        times = st.lists(st.one_of(edge, st.integers(0, 40_000)), max_size=25)
+        actions = []
+        for half in (1, 2):
+            drawn = data.draw(times)
+            drawn += data.draw(st.lists(st.sampled_from(drawn), max_size=3)) if drawn else []
+            for t in drawn:
+                label = data.draw(st.sampled_from(RETAINED_CLASSES))
+                actions.append(ActionInstance(game_id="t/g", half=half, time_ms=t, label=label))
+        actions.sort(key=lambda a: a.sort_key)
+        # a declared duration may be shorter than the last action, or absent
+        durations = data.draw(
+            st.dictionaries(st.sampled_from([1, 2]), st.integers(0, 40_000), max_size=2)
+        )
+        game = GameAnnotations(
+            game_id="t/g", split="train", half_durations_ms=durations, actions=tuple(actions)
+        )
+        assert make_train_clips(game, cfg) == reference_train_clips(game, cfg)
 
     def test_half_shorter_than_context_skipped(self, cfg5):
         game = make_game([1000], durations={1: 4_000})
