@@ -237,7 +237,11 @@ def parse_annotations(path: str | Path) -> GameAnnotations:
     """Load, validate, and canonicalize one game's annotation file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise AnnotationError(f"{path.name}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise AnnotationError(f"{path.name}: not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise AnnotationError(f"{path.name}: invalid JSON: {exc}") from None
     try:

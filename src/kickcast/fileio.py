@@ -7,7 +7,10 @@ byte-identical files no matter how the records were generated.  They are
 written by a small recursive encoder that emits the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``: with any
 ``indent`` set, CPython's ``json`` falls back from its C encoder to the
-pure-Python one, which took most of the time of ``kickcast targets``.
+pure-Python one, which took most of the time of ``kickcast targets``.  Most
+slots of a targets clip are one shared unpaired target, so
+:func:`targets_to_doc` builds one dict per distinct slot object and the
+encoder writes a run of the same object once and repeats its text.
 
 Formats (all version 1):
 
@@ -83,6 +86,10 @@ def _breaks(depth: int) -> tuple[str, str]:
     return newline, "," + newline
 
 
+#: No item yet, in :func:`_encode_list`'s run tracking (``None`` is an item).
+_NOTHING = object()
+
+
 def _encode(value: Any, depth: int) -> str:
     kind = type(value)
     scalar = _SCALARS.get(kind)
@@ -116,7 +123,16 @@ def _encode_list(items: list | tuple, depth: int) -> str:
     if scalar is not None:
         body = sep.join(map(scalar, items))
     else:
-        body = sep.join([_encode(item, depth + 1) for item in items])
+        # A run of one object (the shared unpaired slot of a targets clip)
+        # is encoded once; a comprehension keeps lists without runs as fast
+        # as a plain one.
+        prev = text = _NOTHING
+        texts = [
+            text if item is prev else (text := _encode(prev := item, depth + 1))
+            for item in items
+        ]
+        body = sep.join(texts)
+        del texts  # free the item texts before the f-string below copies body
     return f"[{newline}{body}{close}]"
 
 
@@ -162,6 +178,8 @@ def _load(path: str | Path, expected_format: str) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -385,15 +403,21 @@ def targets_to_doc(
     cfg: BenchConfig,
     variant: HeadVariant,
 ) -> dict:
+    # One dict per distinct slot object, so the encoder sees a run of the
+    # shared unpaired slot as one object.  Keyed by identity, not value:
+    # SlotTarget(actionness=0) == SlotTarget(actionness=0.0) but they encode
+    # differently.  The assignments are alive for the whole call, so ids are
+    # not reused.
+    slot_docs: dict[int, dict] = {}
     records = []
     for clip_id, assignment in sorted(assignments, key=lambda pair: pair[0]):
-        records.append(
-            {
-                "clip_id": clip_id,
-                "truncated": assignment.truncated,
-                "slots": [_slot_to_doc(s) for s in assignment.slots],
-            }
-        )
+        slots = []
+        for s in assignment.slots:
+            doc = slot_docs.get(id(s))
+            if doc is None:
+                doc = slot_docs[id(s)] = _slot_to_doc(s)
+            slots.append(doc)
+        records.append({"clip_id": clip_id, "truncated": assignment.truncated, "slots": slots})
     return {
         "format": FORMAT_TARGETS,
         "version": VERSION,

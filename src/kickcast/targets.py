@@ -166,10 +166,17 @@ def hungarian(cost: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
     """Minimum-cost one-to-one pairing of rows to columns.
 
     Solves the rectangular assignment problem (min(R, C) pairs) by shortest
-    augmenting paths over the reduced-cost graph, O(n^3).  Among pairings of
-    equal total cost the lexicographically smallest (row, col) sequence is
-    returned, which keeps training targets reproducible; the tie-break is
-    exact whenever the cost arithmetic is (e.g. integer-valued costs).
+    augmenting paths over the shorter side: a wide matrix (R <= C) as given,
+    a tall one (more slots than ground-truth actions, the usual training
+    shape) transposed, so its rows are the columns.  With n = min(R, C) and
+    m = max(R, C) that is O(n^2 m), and no pad rows or columns are added.
+    Among pairings of equal total cost the lexicographically smallest
+    (row, col) sequence is returned, in both orientations, which keeps
+    training targets reproducible; the tie-break is exact whenever the cost
+    arithmetic is (e.g. integer or dyadic costs).  Float costs that tie only
+    up to rounding may resolve either way: ``[[0.2, 0.7], [0.3, 0.3], [0.1,
+    0.2]]`` gives ``((1, 1), (2, 0))``, the optimum of the exact binary
+    values, where 0.3 + 0.1 is just below 0.2 + 0.2.
 
     Costs must be finite and non-negative.
     """
@@ -185,25 +192,28 @@ def hungarian(cost: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
         return ()
 
     # Tie-break: attach a secondary integer cost encoding the pairing as a
-    # base-B number with one digit per row (col j -> j+1, no real col -> C+1,
+    # base-B number with one digit per row (col j -> j+1, no col -> C+1,
     # B = C+2).  Minimising the secondary among primary-optimal solutions
     # picks the lexicographically smallest pairing.
     base = n_cols + 2
-    pad = max(v for row in cost for v in row) + 1.0
-    m = max(n_rows, n_cols)
-    a: list[list[tuple[float, int]]] = []
-    for i in range(n_rows):
-        weight = base ** (n_rows - 1 - i)
-        row_cost = cost[i]
-        a.append(
-            [
-                (row_cost[j], (j + 1) * weight) if j < n_cols else (pad, (n_cols + 1) * weight)
-                for j in range(m)
-            ]
-        )
+    weights = [base ** (n_rows - 1 - i) for i in range(n_rows)]
+    if n_rows <= n_cols:
+        a = [[(c, (j + 1) * w) for j, c in enumerate(row)] for row, w in zip(cost, weights)]
+        return tuple(enumerate(_solve(a)))
+    # Transposed: every column is paired and R - C rows are not.  Their
+    # digits C+1 add up to a constant minus (C+1)·w for each paired row, so
+    # the digit (j - C)·w per pair minimises the same base-B number.
+    a = [[(row[j], (j - n_cols) * w) for row, w in zip(cost, weights)] for j in range(n_cols)]
+    return tuple(sorted((i, j) for j, i in enumerate(_solve(a))))
 
-    # Shortest-augmenting-path assignment over (primary, secondary) pairs,
-    # compared lexicographically; 1-based with column 0 as the virtual root.
+
+def _solve(a: list[list[tuple[float, int]]]) -> list[int]:
+    """Column of each row in a minimum assignment of ``a``, which has rows <= cols.
+
+    Shortest augmenting paths over (primary, secondary) pairs, compared
+    lexicographically; 1-based with column 0 as the virtual root.
+    """
+    n_rows, m = len(a), len(a[0])
     inf = (math.inf, 0)
     zero = (0.0, 0)
     u: list[tuple[float, int]] = [zero] * (n_rows + 1)
@@ -251,11 +261,11 @@ def hungarian(cost: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
             match[j0] = match[j1]
             j0 = j1
 
-    pairs = [
-        (match[j] - 1, j - 1) for j in range(1, m + 1) if match[j] != 0 and j - 1 < n_cols
-    ]
-    pairs.sort()
-    return tuple(pairs)
+    cols = [0] * n_rows
+    for j in range(1, m + 1):
+        if match[j]:
+            cols[match[j] - 1] = j - 1
+    return cols
 
 
 def _pairs(

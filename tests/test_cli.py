@@ -456,6 +456,29 @@ class TestBadInput:
         assert match in err
 
 
+    def test_directory_named_like_annotation_file(self, tmp_path, capsys):
+        ann = tmp_path / "ann"
+        shutil.copytree(FIXTURE_DIR, ann)
+        (ann / "x.json").mkdir()
+        out = tmp_path / "clips.json"
+        code, _, err = run(["prepare", str(ann), "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert "x.json: Is a directory" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["annotations", "eval-clips"])
+    def test_non_utf8_input(self, tmp_path, capsys, reader):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"format": "\xff"}')
+        if reader == "annotations":
+            argv = ["prepare", str(bad), "--out", str(tmp_path / "clips.json")]
+        else:
+            argv = ["evaluate", "--gt", str(bad), "--pred", str(bad)]
+        code, _, err = run(argv, capsys)
+        self.assert_one_error_line(code, err)
+        assert "bad.json: not valid UTF-8" in err
+
+
 class TestParser:
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):

@@ -41,7 +41,8 @@ from kickcast.fileio import (
 )
 from kickcast.losses import SlotOutput
 from kickcast.metrics import Prediction, evaluate
-from kickcast.targets import HeadVariant, assign_for_variant
+from kickcast.targets import HEADS, Assignment, HeadVariant, SlotTarget, assign_for_variant
+from kickcast.windowing import make_train_clips
 
 from conftest import REPO_ROOT, SCHEMA_DIR
 
@@ -153,6 +154,27 @@ class TestCanonicalJson:
     def test_non_string_key_rejected(self):
         with pytest.raises(TypeError):
             dump_json({1: "one"})
+
+    def test_repeated_objects(self):
+        # The encoder reuses the text of a run of one object; the same object
+        # at another depth, or after a different item, must be encoded anew.
+        x = {"a": [1, 2.5], "b": None}
+        y = [x, "s", None]
+        docs = [
+            [x] * 4,
+            [x, y, x, x, y, y, x],
+            {"outer": [[x, x], x, [y, y], x], "inner": [x, x]},
+            [None, x, x, None, None, x],
+            (y, y, [y, y]),
+        ]
+        for doc in docs:
+            assert dump_json(doc) == oracle_dump(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(JSON_DOCS, min_size=1, max_size=3), st.lists(st.integers(0, 2), max_size=8))
+    def test_runs_of_shared_children(self, pool, picks):
+        doc = [pool[i % len(pool)] for i in picks]
+        assert dump_json({"k": [doc, doc]}) == oracle_dump({"k": [doc, doc]})
 
 
 class TestDeltaCodec:
@@ -342,6 +364,51 @@ class TestTargetsFile:
         write_targets(a, pairs, CFG, HeadVariant.ANCHORS)
         write_targets(b, list(reversed(pairs)), CFG, HeadVariant.ANCHORS)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("ta", [5.0, 10.0])
+    @pytest.mark.parametrize("variant", [v for v in HeadVariant if not HEADS[v].needs_outputs])
+    def test_shared_slot_docs_match_fresh_dicts(self, corpus, variant, ta):
+        cfg = BenchConfig(anticipation_s=ta)
+        pairs = [
+            (c.clip_id, assign_for_variant(variant, c.future_actions, cfg))
+            for game in corpus
+            for c in make_train_clips(game, cfg)[::7]
+        ]
+        fresh = {
+            "format": "kickcast-targets",
+            "version": 1,
+            "config": config_to_doc(cfg),
+            "variant": variant.value,
+            "clips": [
+                {
+                    "clip_id": clip_id,
+                    "truncated": a.truncated,
+                    "slots": [
+                        {
+                            "gt_index": s.gt_index,
+                            "actionness": s.actionness,
+                            "class_index": s.class_index,
+                            "class_multihot": list(s.class_multihot) if s.class_multihot else None,
+                            "time": s.time,
+                        }
+                        for s in a.slots
+                    ],
+                }
+                for clip_id, a in sorted(pairs, key=lambda p: p[0])
+            ],
+        }
+        assert dump_json(targets_to_doc(pairs, cfg, variant)) == oracle_dump(fresh)
+
+    def test_equal_slots_of_different_types_keep_their_text(self):
+        # SlotTarget(actionness=0) == SlotTarget(actionness=0.0), but JSON
+        # writes them as 0 and 0.0: slots are shared by identity, not value.
+        as_int = SlotTarget(gt_index=None, actionness=0)
+        as_float = SlotTarget(gt_index=None, actionness=0.0)
+        assert as_int == as_float
+        slots = (as_int, as_int, as_float, as_float, as_int)
+        doc = targets_to_doc([("c", Assignment(HeadVariant.Q_ACT, slots))], CFG, HeadVariant.Q_ACT)
+        values = [json.loads(dump_json(doc))["clips"][0]["slots"][i]["actionness"] for i in range(5)]
+        assert [type(v) for v in values] == [int, int, float, float, int]
 
 
 class TestLossCheckFile:

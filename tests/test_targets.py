@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,41 @@ class TestHungarian:
             got = hungarian(cost)
             assert sum(cost[r][c] for r, c in got) == total
             assert got == pairs
+
+    @pytest.mark.parametrize(
+        "n_rows, n_cols",
+        [(8, 1), (8, 2), (8, 3), (1, 8), (2, 8), (3, 8), (16, 2), (2, 16)],
+    )
+    def test_exhaustive_oracle_live_shapes(self, n_rows, n_cols):
+        # Slots x actions as in training (q = 8 or 16), and transposed.  Costs
+        # are multiples of 0.25, so sums are exact and ties are frequent.
+        rng = random.Random(f"live-{n_rows}x{n_cols}")
+        for _ in range(60):
+            cost = [[rng.randint(0, 6) * 0.25 for _ in range(n_cols)] for _ in range(n_rows)]
+            total, pairs = brute_force_min(cost)
+            got = hungarian(cost)
+            assert sum(cost[r][c] for r, c in got) == total
+            assert got == pairs
+
+    def test_float_near_tie_resolves_to_exact_optimum(self):
+        # 0.3 + 0.1 and 0.2 + 0.2 are equal in decimal, not as binary floats.
+        cost = [[0.2, 0.7], [0.3, 0.3], [0.1, 0.2]]
+        exact = [[Fraction(v) for v in row] for row in cost]
+        assert hungarian(cost) == brute_force_min(exact)[1] == ((1, 1), (2, 0))
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(16, 16), (16, 3), (3, 16), (8, 8)])
+    def test_total_cost_matches_scipy(self, n_rows, n_cols):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(f"scipy-{n_rows}x{n_cols}")
+        for _ in range(40):
+            cost = [[rng.random() for _ in range(n_cols)] for _ in range(n_rows)]
+            got = hungarian(cost)
+            rows, cols = optimize.linear_sum_assignment(cost)
+            assert len(got) == len(rows) == min(n_rows, n_cols)
+            assert len({r for r, _ in got}) == len({c for _, c in got}) == len(got)
+            ours = math.fsum(cost[r][c] for r, c in got)
+            theirs = math.fsum(cost[r][c] for r, c in zip(rows, cols))
+            assert ours == pytest.approx(theirs, rel=1e-12, abs=1e-12)
 
     @given(
         st.lists(
