@@ -42,7 +42,7 @@ from .metrics import (
     evaluate,
     match_window,
 )
-from .targets import Assignment, HeadVariant, SlotTarget, assign_for_variant, hungarian, sequential_assign
+from .targets import Assignment, HeadVariant, SlotTarget, assign_for_variant, hungarian
 from .timecodec import decode_time, encode_time
 from .windowing import (
     EvalClip,
@@ -96,7 +96,6 @@ __all__ = [
     "parse_annotations",
     "run_baseline",
     "segmentation_targets",
-    "sequential_assign",
     "stats_from_counts",
     "total_loss",
     "write_annotations",

@@ -40,11 +40,15 @@ class BenchConfig:
             value = getattr(self, field.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
+        # Tiling works in whole milliseconds and decoding in seconds, so the two
+        # agree only when the seconds are a whole number of milliseconds.
         for name in ("context_s", "anticipation_s"):
-            ms = getattr(self, name) * 1000  # may overflow to inf for huge finite seconds
-            if not (math.isfinite(ms) and round(ms) >= 1):
+            seconds = getattr(self, name)
+            ms = seconds * 1000  # may overflow to inf for huge finite seconds
+            if not (math.isfinite(ms) and round(ms) >= 1 and round(ms) / 1000 == seconds):
                 raise ValueError(
-                    f"{name} must give a window of 1 ms or more, got {getattr(self, name)!r} s"
+                    f"{name} must be a whole number of milliseconds, at least 1 ms, "
+                    f"got {seconds!r} s"
                 )
         if self.fps <= 0:
             raise ValueError("fps must be positive")

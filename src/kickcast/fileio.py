@@ -3,14 +3,12 @@
 All documents are JSON with a ``format`` tag and integer ``version``.  Files
 are written canonically — sorted keys, two-space indent, records in a
 documented sort order, trailing newline — so identical inputs produce
-byte-identical files no matter how the records were generated.  They are
-written by a small recursive encoder that emits the bytes of
-``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``: with any
-``indent`` set, CPython's ``json`` falls back from its C encoder to the
-pure-Python one, which took most of the time of ``kickcast targets``.  Most
-slots of a targets clip are one shared unpaired target, so
-:func:`targets_to_doc` builds one dict per distinct slot object and the
-encoder writes a run of the same object once and repeats its text.
+byte-identical files no matter how the records were generated.
+
+Every record list is read through :func:`_read_records`: a bad record ends
+the read with one :class:`FileFormatError` naming the file and the record,
+and integer and boolean fields must have exactly that JSON type, as in the
+schemas (``int()`` would take ``5.9``, ``"1"`` or ``true``).
 
 Formats (all version 1):
 
@@ -156,7 +154,10 @@ def dump_json(doc: Any) -> str:
     """Canonical JSON serialization (stable bytes for stable content).
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n"`` for documents with string keys.
+    allow_nan=False) + "\\n"`` for documents with string keys, which would run
+    CPython's pure-Python encoder (any ``indent`` turns its C encoder off).  A
+    run of one object, such as a targets clip's shared unpaired slot, is
+    encoded once (see :func:`targets_to_doc`).
     """
     return _encode(doc, 0) + "\n"
 
@@ -201,12 +202,26 @@ def _list(doc: dict, key: str, path: str | Path) -> list | None:
     return value
 
 
-def _records(doc: dict, key: str, path: str | Path, what: str) -> Iterator[tuple[int, dict]]:
-    """Yield (index, record) over the document's record list; each must be an object."""
-    for i, rec in enumerate(_list(doc, key, path) or ()):
-        if not isinstance(rec, dict):
-            raise FileFormatError(f"{path}: {what} #{i}: must be an object")
-        yield i, rec
+def _read_records(doc: dict, key: str, path: str | Path, what: str, read: Callable) -> list:
+    """``read`` of each object in ``doc[key]``; its errors become one FileFormatError."""
+    records: list = []
+    items = _list(doc, key, path) or ()
+    try:
+        for rec in items:
+            if not isinstance(rec, dict):
+                raise TypeError("must be an object")
+            records.append(read(rec))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: {what} #{len(records)}: {exc}") from exc
+    return records
+
+
+def _exact(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
+    """``value`` if its JSON type is exactly ``kind``, int or bool (or null, if ``nullable``)."""
+    if type(value) is not kind and not (nullable and value is None):
+        what = "a boolean" if kind is bool else "an integer"
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def iter_annotation_files(paths: Sequence[str | Path]) -> Iterator[Path]:
@@ -268,25 +283,22 @@ def config_from_doc(doc: Any) -> BenchConfig:
 
 
 def eval_clips_to_doc(clips: Iterable[EvalClip], cfg: BenchConfig) -> dict:
-    records = []
-    ordered = sorted(clips, key=lambda c: (c.game_id, c.half, c.anticipation_start_ms))
-    for clip in ordered:
-        records.append(
-            {
-                "clip_id": clip.clip_id,
-                "game_id": clip.game_id,
-                "half": clip.half,
-                "context_start_ms": clip.context_start_ms,
-                "context_end_ms": clip.context_end_ms,
-                "anticipation_start_ms": clip.anticipation_start_ms,
-                "anticipation_end_ms": clip.anticipation_end_ms,
-                "partial": clip.partial,
-                "gt_actions": [
-                    {"label": a.label.value, "offset_ms": a.offset_ms}
-                    for a in clip.gt_actions
-                ],
-            }
-        )
+    records = [
+        {
+            "clip_id": clip.clip_id,
+            "game_id": clip.game_id,
+            "half": clip.half,
+            "context_start_ms": clip.context_start_ms,
+            "context_end_ms": clip.context_end_ms,
+            "anticipation_start_ms": clip.anticipation_start_ms,
+            "anticipation_end_ms": clip.anticipation_end_ms,
+            "partial": clip.partial,
+            "gt_actions": [
+                {"label": a.label.value, "offset_ms": a.offset_ms} for a in clip.gt_actions
+            ],
+        }
+        for clip in sorted(clips, key=lambda c: (c.game_id, c.half, c.anticipation_start_ms))
+    ]
     return {
         "format": FORMAT_EVAL_CLIPS,
         "version": VERSION,
@@ -299,46 +311,38 @@ def write_eval_clips(path: str | Path, clips: Iterable[EvalClip], cfg: BenchConf
     write_json(path, eval_clips_to_doc(clips, cfg))
 
 
+def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
+    clip = EvalClip(
+        game_id=rec["game_id"],
+        half=_exact(rec["half"], int, "half"),
+        context_start_ms=_exact(rec["context_start_ms"], int, "context_start_ms"),
+        context_end_ms=_exact(rec["context_end_ms"], int, "context_end_ms"),
+        anticipation_start_ms=_exact(rec["anticipation_start_ms"], int, "anticipation_start_ms"),
+        anticipation_end_ms=_exact(rec["anticipation_end_ms"], int, "anticipation_end_ms"),
+        partial=_exact(rec["partial"], bool, "partial"),
+        gt_actions=tuple(
+            GtAction(parse_label(a["label"]), _exact(a["offset_ms"], int, "offset_ms"))
+            for a in rec["gt_actions"]
+        ),
+    )
+    if rec["clip_id"] != clip.clip_id:
+        raise ValueError(f"id {rec['clip_id']!r} does not match derived {clip.clip_id!r}")
+    window = clip.window_len_ms
+    if window <= 0 or (window < ta_ms) != clip.partial:
+        raise ValueError(
+            f"span of {window} ms inconsistent with partial={clip.partial} at T_a={ta_ms} ms"
+        )
+    for a in clip.gt_actions:
+        if not 0 <= a.offset_ms < window:
+            raise ValueError(f"action at {a.offset_ms} ms outside {window} ms span")
+    return clip
+
+
 def read_eval_clips(path: str | Path) -> tuple[list[EvalClip], BenchConfig]:
     doc = _load(path, FORMAT_EVAL_CLIPS)
     cfg = config_from_doc(doc.get("config"))
-    clips = []
-    for i, rec in _records(doc, "clips", path, "clip"):
-        try:
-            gt = tuple(
-                GtAction(label=parse_label(a["label"]), offset_ms=int(a["offset_ms"]))
-                for a in rec["gt_actions"]
-            )
-            clip = EvalClip(
-                game_id=rec["game_id"],
-                half=int(rec["half"]),
-                context_start_ms=int(rec["context_start_ms"]),
-                context_end_ms=int(rec["context_end_ms"]),
-                anticipation_start_ms=int(rec["anticipation_start_ms"]),
-                anticipation_end_ms=int(rec["anticipation_end_ms"]),
-                partial=bool(rec["partial"]),
-                gt_actions=gt,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"{path}: clip #{i}: {exc}") from exc
-        if rec.get("clip_id") != clip.clip_id:
-            raise FileFormatError(
-                f"{path}: clip #{i}: id {rec.get('clip_id')!r} does not match "
-                f"derived {clip.clip_id!r}"
-            )
-        window = clip.window_len_ms
-        if window <= 0 or (window < cfg.anticipation_ms) != clip.partial:
-            raise FileFormatError(
-                f"{path}: clip #{i}: span of {window} ms inconsistent with "
-                f"partial={clip.partial} at T_a={cfg.anticipation_ms} ms"
-            )
-        for a in clip.gt_actions:
-            if not 0 <= a.offset_ms < window:
-                raise FileFormatError(
-                    f"{path}: clip #{i}: action at {a.offset_ms} ms outside {window} ms span"
-                )
-        clips.append(clip)
-    return clips, cfg
+    read = functools.partial(_eval_clip, ta_ms=cfg.anticipation_ms)
+    return _read_records(doc, "clips", path, "clip", read), cfg
 
 
 # --- predictions ------------------------------------------------------------
@@ -367,22 +371,18 @@ def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> No
     write_json(path, predictions_to_doc(predictions))
 
 
+def _prediction(rec: dict) -> Prediction:
+    return Prediction(
+        clip_id=rec["clip_id"],
+        label=parse_label(rec["label"]),
+        time_s=float(rec["time_s"]),
+        confidence=float(rec["confidence"]),
+    )
+
+
 def read_predictions(path: str | Path) -> list[Prediction]:
     doc = _load(path, FORMAT_PREDICTIONS)
-    predictions = []
-    for i, rec in _records(doc, "predictions", path, "prediction"):
-        try:
-            predictions.append(
-                Prediction(
-                    clip_id=rec["clip_id"],
-                    label=parse_label(rec["label"]),
-                    time_s=float(rec["time_s"]),
-                    confidence=float(rec["confidence"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"{path}: prediction #{i}: {exc}") from exc
-    return predictions
+    return _read_records(doc, "predictions", path, "prediction", _prediction)
 
 
 # --- targets ----------------------------------------------------------------
@@ -439,60 +439,59 @@ def write_targets(
 # --- loss-check input -------------------------------------------------------
 
 
-def _slot_from_doc(doc: Any, where: str) -> SlotTarget:
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{where}: slot must be an object")
-    multihot = doc.get("class_multihot")
-    return SlotTarget(
-        gt_index=doc.get("gt_index"),
-        actionness=doc.get("actionness"),
-        class_index=doc.get("class_index"),
-        class_multihot=tuple(int(v) for v in multihot) if multihot is not None else None,
-        time=doc.get("time"),
+#: A loss-check clip: id, slot outputs, targets, and (frame distributions, labels) or None.
+_LossEntry = tuple[str, list[SlotOutput], Assignment, tuple[list[list[float]], SegGrid] | None]
+
+
+def _loss_clip(rec: dict) -> _LossEntry:
+    outputs = [
+        SlotOutput(
+            actionness=float(o["actionness"]),
+            class_probs=tuple(float(p) for p in o["class_probs"]),
+            time_raw=float(o["time_raw"]),
+        )
+        for o in rec["outputs"]
+    ]
+    slots = []
+    for s in rec["slots"]:
+        actionness, hot, time = s["actionness"], s["class_multihot"], s["time"]
+        if hot is not None:
+            hot = tuple(_exact(v, int, "class_multihot") for v in hot)
+        slots.append(
+            SlotTarget(
+                gt_index=_exact(s["gt_index"], int, "gt_index", nullable=True),
+                actionness=None if actionness is None else float(actionness),
+                class_index=_exact(s["class_index"], int, "class_index", nullable=True),
+                class_multihot=hot,
+                time=None if time is None else float(time),
+            )
+        )
+    assignment = Assignment(
+        variant=HeadVariant(rec["variant"]),
+        slots=tuple(slots),
+        truncated=_exact(rec.get("truncated", False), bool, "truncated"),
     )
+    seg = None
+    seg_doc = rec.get("segmentation")
+    if seg_doc is not None:
+        frame_dists = [[float(p) for p in dist] for dist in seg_doc["frame_dists"]]
+        seg = (frame_dists, SegGrid(tuple(_exact(v, int, "labels") for v in seg_doc["labels"])))
+    return rec.get("id"), outputs, assignment, seg
 
 
 def read_loss_check(
     path: str | Path,
-) -> tuple[
-    BenchConfig,
-    tuple[float, ...] | None,
-    list[tuple[str, list[SlotOutput], Assignment, tuple[list[list[float]], SegGrid] | None]],
-]:
+) -> tuple[BenchConfig, tuple[float, ...] | None, list[_LossEntry]]:
     """Parse a loss-check document into (config, weights, per-clip entries)."""
     doc = _load(path, FORMAT_LOSS_CHECK)
-    cfg = config_from_doc(doc["config"]) if "config" in doc else BenchConfig()
+    cfg = config_from_doc(doc.get("config", {}))
     weights_doc = _list(doc, "weights", path)
     try:
         weights = tuple(float(w) for w in weights_doc) if weights_doc is not None else None
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: weights: {exc}") from exc
-    entries = []
-    for i, rec in _records(doc, "clips", path, "clip"):
-        where = f"{path}: clip #{i}"
-        try:
-            clip_id = str(rec.get("id", i))
-            variant = HeadVariant(rec["variant"])
-            outputs = [
-                SlotOutput(
-                    actionness=float(o["actionness"]),
-                    class_probs=tuple(float(p) for p in o["class_probs"]),
-                    time_raw=float(o["time_raw"]),
-                )
-                for o in rec["outputs"]
-            ]
-            slots = tuple(_slot_from_doc(s, where) for s in rec["slots"])
-            assignment = Assignment(
-                variant=variant, slots=slots, truncated=bool(rec.get("truncated", False))
-            )
-            seg = None
-            seg_doc = rec.get("segmentation")
-            if seg_doc is not None:
-                frame_dists = [[float(p) for p in dist] for dist in seg_doc["frame_dists"]]
-                seg = (frame_dists, SegGrid(tuple(int(v) for v in seg_doc["labels"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"{where}: {exc}") from exc
-        entries.append((clip_id, outputs, assignment, seg))
+    clips = _read_records(doc, "clips", path, "clip", _loss_clip)
+    entries = [(str(i if id_ is None else id_), *rest) for i, (id_, *rest) in enumerate(clips)]
     return cfg, weights, entries
 
 

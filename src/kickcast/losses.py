@@ -113,9 +113,9 @@ def loss_class(
         if slot.class_index is not None:
             check_distribution(out.class_probs)
             idx = slot.class_index
-            if idx >= len(out.class_probs):
+            if type(idx) is not int or not 0 <= idx < len(out.class_probs):
                 raise LossError(
-                    f"class target {idx} outside distribution of {len(out.class_probs)}"
+                    f"class target {idx!r} outside distribution of {len(out.class_probs)}"
                 )
             w = 1.0 if weights is None or idx >= len(weights) else weights[idx]
             terms.append(-w * _log(out.class_probs[idx]))

@@ -152,16 +152,6 @@ def _class_idx(action: GtAction) -> int:
         raise TargetError(f"label {action.label!r} is not a retained class") from None
 
 
-def sequential_assign(
-    gt: Sequence[GtAction], queries: int, anticipation_s: float
-) -> Assignment:
-    """Pair slot i with the i-th action in time order; the rest are negatives."""
-    if queries <= 0:
-        raise TargetError(f"queries must be positive, got {queries}")
-    cfg = BenchConfig(anticipation_s=anticipation_s, queries=queries)
-    return assign_for_variant(HeadVariant.Q_ACT, gt, cfg)
-
-
 def hungarian(cost: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
     """Minimum-cost one-to-one pairing of rows to columns.
 

@@ -10,7 +10,7 @@ import pytest
 from kickcast.cli import main
 from kickcast.fileio import read_eval_clips, read_predictions
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, loss_check_doc
 
 
 def run(argv, capsys):
@@ -33,43 +33,6 @@ def oracle_file(tmp_path, clips_file):
         main(["baseline", str(FIXTURE_DIR), "--kind", "oracle", "--out", str(out)]) == 0
     )
     return out
-
-
-@pytest.fixture()
-def check_file(tmp_path):
-    from kickcast.config import BenchConfig
-    from kickcast.fileio import config_to_doc, dump_json
-
-    cfg = BenchConfig()
-    C = cfg.num_classes
-    doc = {
-        "format": "kickcast-loss-check",
-        "version": 1,
-        "config": config_to_doc(cfg),
-        "clips": [
-            {
-                "id": "demo",
-                "variant": "q-act",
-                "outputs": [
-                    {"actionness": 0.5, "class_probs": [0.1] * C, "time_raw": -1.0}
-                ]
-                * cfg.queries,
-                "slots": [
-                    {
-                        "gt_index": None,
-                        "actionness": 0.0,
-                        "class_index": None,
-                        "class_multihot": None,
-                        "time": None,
-                    }
-                ]
-                * cfg.queries,
-            }
-        ],
-    }
-    path = tmp_path / "check.json"
-    path.write_text(dump_json(doc))
-    return path
 
 
 class TestPrepare:
@@ -404,6 +367,7 @@ class TestBadInput:
             ("--ta", "nan", "anticipation_s"),
             ("--ta", "0.0001", "anticipation_s"),
             ("--ta", "1e308", "anticipation_s"),
+            ("--ta", "5.0004", "anticipation_s"),
             ("--tc", "0.0004", "context_s"),
             ("--fps", "inf", "fps"),
         ],
@@ -454,7 +418,68 @@ class TestBadInput:
         code, _, err = run(argv, capsys)
         self.assert_one_error_line(code, err)
         assert match in err
+        assert err.count(f"{bad}: ") == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("class_index", "a"),
+            ("class_index", True),
+            ("class_index", 1.5),
+            ("time", "a"),
+            ("gt_index", "a"),
+            ("actionness", "x"),
+            ("class_multihot", [0, "1"]),
+            (None, 5),
+            ("truncated", "no"),
+        ],
+    )
+    def test_bad_loss_check_field(self, tmp_path, capsys, key, value):
+        doc = loss_check_doc()
+        clip = doc["clips"][0]
+        if key is None:
+            clip["slots"][0] = value
+        elif key == "truncated":
+            clip[key] = value
+        else:
+            clip["slots"][0] = {**clip["slots"][0], key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["loss-check", str(bad)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err.count(f"{bad}: clip #0: ") == 1
+
+    @pytest.mark.parametrize("index", [-1, -10])
+    def test_negative_class_index(self, tmp_path, capsys, index):
+        doc = loss_check_doc()
+        doc["clips"][0]["slots"][0] = {
+            "gt_index": 0,
+            "actionness": 1.0,
+            "class_index": index,
+            "class_multihot": None,
+            "time": 0.5,
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["loss-check", str(bad)], capsys)
+        self.assert_one_error_line(code, err)
+        assert f"class target {index} outside distribution" in err
+
+    @pytest.mark.parametrize("key", ["half", "offset_ms"])
+    def test_bad_eval_clip_field(self, tmp_path, capsys, clips_file, oracle_file, key):
+        doc = json.loads(clips_file.read_text())
+        clip = next(c for c in doc["clips"] if c["gt_actions"])
+        if key == "half":
+            clip["half"] = str(clip["half"])  # the derived clip id does not change
+        else:
+            clip["gt_actions"][0]["offset_ms"] += 0.9  # int() would truncate it
+        doc["clips"] = [clip]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["evaluate", "--gt", str(bad), "--pred", str(oracle_file)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err.count(f"{bad}: clip #0: ") == 1
+        assert f"{key} must be an integer" in err
 
     def test_directory_named_like_annotation_file(self, tmp_path, capsys):
         ann = tmp_path / "ann"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+import kickcast.fileio as fileio
 from kickcast.annotations import ActionClass, serialize_annotations
 from kickcast.baselines import BaselineSpec, oracle_predictor
 from kickcast.config import BenchConfig
@@ -42,7 +43,7 @@ from kickcast.fileio import (
 from kickcast.losses import SlotOutput
 from kickcast.metrics import Prediction, evaluate
 from kickcast.targets import HEADS, Assignment, HeadVariant, SlotTarget, assign_for_variant
-from kickcast.windowing import make_train_clips
+from kickcast.windowing import make_train_clips, segmentation_targets
 
 from conftest import REPO_ROOT, SCHEMA_DIR
 
@@ -195,7 +196,11 @@ class TestDeltaCodec:
 
 class TestConfigCodec:
     def test_round_trip(self):
-        for cfg in (BenchConfig(), BenchConfig(anticipation_s=10.0)):
+        for cfg in (
+            BenchConfig(),
+            BenchConfig(anticipation_s=10.0),
+            BenchConfig(context_s=3.333, anticipation_s=0.001),  # whole milliseconds
+        ):
             assert config_from_doc(config_to_doc(cfg)) == cfg
 
     def test_doc_is_flat_and_json_safe(self):
@@ -215,6 +220,9 @@ class TestConfigCodec:
             ("anticipation_s", 0.0001),
             ("context_s", 0.0004),
             ("anticipation_s", 1e308),
+            ("anticipation_s", 5.0004),
+            ("context_s", 2.00005),
+            ("queries", -1),
         ],
     )
     def test_bad_value_rejected(self, field, value):
@@ -525,7 +533,149 @@ class TestReportRenderers:
         assert list(doc["map"]) == ["1", "2", "3", "4", "5", "inf"]
 
 
+class Recorder(dict):
+    """A JSON object that logs each key looked up in it, with the object's path.
+
+    Lookups by ``[]`` are logged as indexed, lookups by ``get`` as optional.
+    """
+
+    def __init__(self, items, path, log):
+        super().__init__(items)
+        self.path, self.log = path, log
+
+    def __getitem__(self, key):
+        self.log.append((self.path, key, True))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.append((self.path, key, False))
+        return super().get(key, default)
+
+
+def recording(value, log, path=()):
+    """``value`` with every object a :class:`Recorder`; list items add ``*`` to the path."""
+    if isinstance(value, dict):
+        return Recorder({k: recording(v, log, (*path, k)) for k, v in value.items()}, path, log)
+    if isinstance(value, list):
+        return [recording(v, log, (*path, "*")) for v in value]
+    return value
+
+
+def resolved(schema, resolver):
+    while "$ref" in schema:
+        found = resolver.lookup(schema["$ref"])
+        schema, resolver = found.contents, found.resolver
+    return schema, resolver
+
+
+def schema_at(root, registry, path):
+    """The schema of the value at ``path`` (keys, ``*`` for list items) and its resolver."""
+    schema, resolver = resolved(root, registry.resolver(base_uri=root["$id"]))
+    for step in path:
+        schema = schema["items"] if step == "*" else schema["properties"][step]
+        schema, resolver = resolved(schema, resolver)
+    return schema, resolver
+
+
+JSON_TYPES = {bool: "boolean", int: "integer", type(None): "null"}
+
+
+def admitted_types(schema):
+    """JSON types a schema admits, from its ``type`` or the values of its ``enum``."""
+    if "type" in schema:
+        return {schema["type"]} if isinstance(schema["type"], str) else set(schema["type"])
+    return {JSON_TYPES[type(v)] for v in schema["enum"]}
+
+
+@pytest.fixture(scope="module")
+def full_loss_check_doc(corpus):
+    """A loss-check document that sets every field the reader knows."""
+    clip = next(
+        c for game in corpus for c in make_train_clips(game, CFG) if len(c.future_actions) >= 2
+    )
+    grid = segmentation_targets(clip, CFG)
+    C = CFG.num_classes
+    records = []
+    for variant in (HeadVariant.Q_ACT, HeadVariant.Q_EOS, HeadVariant.Q_BCE):
+        assignment = assign_for_variant(variant, clip.future_actions, CFG)
+        width = C + HEADS[variant].sentinel
+        slots = targets_to_doc([(clip.clip_id, assignment)], CFG, variant)["clips"][0]["slots"]
+        output = {"actionness": 0.5, "class_probs": [1.0 / width] * width, "time_raw": -1.0}
+        records.append(
+            {
+                "id": variant.value,
+                "variant": variant.value,
+                "outputs": [output] * CFG.queries,
+                "slots": slots,
+                "truncated": assignment.truncated,
+                "segmentation": {
+                    "frame_dists": [[1.0 / (C + 1)] * (C + 1)] * len(grid.labels),
+                    "labels": list(grid.labels),
+                },
+            }
+        )
+    return json.loads(
+        dump_json(
+            {
+                "format": "kickcast-loss-check",
+                "version": 1,
+                "config": config_to_doc(CFG),
+                "weights": [1.0] * C,
+                "clips": records,
+            }
+        )
+    )
+
+
 class TestSchemas:
+    @pytest.mark.parametrize("name", ["eval-clips", "predictions", "loss-check"])
+    def test_readers_agree_with_schemas(
+        self, name, schema_registry, eval_clips, some_predictions, full_loss_check_doc,
+        tmp_path, monkeypatch,
+    ):
+        doc, read = {
+            "eval-clips": (eval_clips_to_doc(eval_clips, CFG), read_eval_clips),
+            "predictions": (predictions_to_doc(some_predictions), read_predictions),
+            "loss-check": (full_loss_check_doc, read_loss_check),
+        }[name]
+        validator_for(name, schema_registry).validate(doc)
+        lookups, typed = [], set()
+        load, exact = fileio._load, fileio._exact
+
+        def spy(value, kind, field, nullable=False):
+            typed.add((field, kind, nullable))
+            return exact(value, kind, field, nullable)
+
+        monkeypatch.setattr(fileio, "_load", lambda *args: recording(load(*args), lookups))
+        monkeypatch.setattr(fileio, "_exact", spy)
+        path = tmp_path / "doc.json"
+        path.write_text(dump_json(doc))
+        read(path)
+
+        assert lookups
+        root = json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
+        for where, key, indexed in lookups:
+            schema, _ = schema_at(root, schema_registry, where)
+            if indexed:
+                assert key in schema.get("required", ()), (where, key)
+        for field, kind, nullable in typed:
+            props = [
+                resolved(schema["properties"][key], resolver)[0]
+                for schema, resolver, key in (
+                    (*schema_at(root, schema_registry, where), key)
+                    for where, key, _ in lookups
+                    if key == field
+                )
+            ]
+            assert props, field
+            want = {JSON_TYPES[kind]} | ({"null"} if nullable else set())
+            for prop in props:
+                types = admitted_types(prop)
+                if "array" in types:  # the field is a list of such values
+                    assert types <= {"array", "null"}, field
+                    types = admitted_types(prop["items"])
+                assert types == want, (field, types)
+
     def test_all_schemas_are_valid(self, schema_registry):
         for path in sorted(SCHEMA_DIR.glob("*.schema.json")):
             Draft202012Validator.check_schema(json.loads(path.read_text()))

@@ -1,8 +1,10 @@
-"""Report bytes pinned across commits: ``evaluate`` on the fixture baselines.
+"""Canonical output bytes pinned across commits.
 
-The digests were recorded before the evaluator was rewritten to rank each
-class once, so they tie every later evaluator to the same bytes, not only to
-itself (acceptance 8 checks repeat runs of one build).
+The report digests were recorded before the evaluator was rewritten to rank
+each class once; the ``prepare``, ``targets``, ``baseline`` and
+``loss-check`` digests were recorded before the readers were folded into
+one strictly typed path.  So they tie every later build to the same bytes,
+not only to itself (acceptance 8 checks repeat runs of one build).
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from kickcast.cli import main
 
 from conftest import FIXTURE_DIR
 
-#: ``baseline --seed 42`` arguments per kind, and the sha256 of the report in
-#: each format.
+#: ``baseline --seed 42`` arguments per kind, the sha256 of its predictions
+#: file, and the sha256 of the report in each format.
 GOLDEN = {
     "oracle": (
         ["--noise-std", "1.0", "--drop-prob", "0.1"],
+        "0f5be5c17ab2c515d6e4ceb9959a373fc6f83a0a8677c7a3dd741ea2466616e1",
         {
             "json": "8f000a59cb0f7a634079064293f61553a8591c837632cba34979f3c70fef375a",
             "csv": "8e38f0c772ddc609d6e06f3fac3f2c0eff1955a0a6444e777ab6f9ab04486319",
@@ -28,6 +31,7 @@ GOLDEN = {
     ),
     "prior": (
         [],
+        "54810452fa6034ee56f5eb844165d21f6639ad6ed537d4fb1575d47c4063f3ff",
         {
             "json": "bd049a10d334c9410bbbf2aa6d3196549307056dfade177590a38c02c2e6ffb0",
             "csv": "e54d729cb1329883930e957cc571b1d1b35735e4b3b2041f88e55534462e539c",
@@ -36,6 +40,7 @@ GOLDEN = {
     ),
     "random": (
         [],
+        "7f860480b6737366a723391a334db8a109cf52ca40388ec8adb9e42288f80a6b",
         {
             "json": "b4533efacdb66372c6cc4667927ddd9148a009b235e2c4fd115f34f1b2751b0d",
             "csv": "9ba65dd5b517173703c0293aec141952eb2e373a8de86cb25d8185483cbd169b",
@@ -43,6 +48,40 @@ GOLDEN = {
         },
     ),
 }
+
+#: sha256 of ``prepare --ta T`` on the fixture annotations, by T.
+PREPARE = {
+    "5": "2f03d0a446c8e48754d5d167af924a06047f74e55e7b85dc43418485de3a4c27",
+    "10": "3e9b5496c9f0103d7d784210b30d3f24b46b8a1aa0ebcafa0617728af323ed45",
+}
+
+#: sha256 of ``targets --variant V --ta T --split train`` on the fixture
+#: annotations, by (V, T).  The train split alone keeps the suite fast.
+TARGETS = {
+    ("q-act", "5"): "6b30f38ec105535ffca9e1013c937f67815746afdbfb1fcc3b9b1e5611ce58db",
+    ("q-act", "10"): "5ab4cde05022560b2c1fab9c26f94b5e0514e13a4b24a97a412297b9598bebb3",
+    ("q-eos", "5"): "7a9a1313acf33b959836eeffa052c7f6e6305014272751fb1376c77b11a8e4dc",
+    ("q-eos", "10"): "f0b2ca9c89fd71beae252782f04c9b53345e27dc7f931fa252471e87759fdfd8",
+    ("q-bckg", "5"): "193c79d2727a075c957aad0a2798b5236bedb4dac822ed2956b073a622d8f660",
+    ("q-bckg", "10"): "f87de17fb618bd4c0df7ba779caee4bcb1e99219c6ea7b9bba6ee059b70a3801",
+    ("q-bce", "5"): "eb2e462157ea3455b5787579cfeb3e3d5455e4b38e7fd7430518fedfe8b83808",
+    ("q-bce", "10"): "f42426b0aebc6e732555473bbe33c0cc2cb5f2c7275a439b958f3dd7311eb8e6",
+    ("anchors", "5"): "097fd74629819f39c944beef2d86105c74fc61970e166960bb5fb52cd0113fed",
+    ("anchors", "10"): "f1533b0115d6c5b05b87e9cf84ad30c202514c537d8352c2ed08fd2c72e32621",
+}
+
+#: (command line after the annotation directory, sha256 of the file it writes).
+FILES = [(["prepare", "--ta", ta], want) for ta, want in PREPARE.items()] + [
+    (["targets", "--variant", variant, "--ta", ta, "--split", "train"], want)
+    for (variant, ta), want in TARGETS.items()
+]
+
+#: sha256 of the ``loss-check`` report on the ``check_file`` fixture.
+LOSS_REPORT = "a987ba71ad3716643bbcfa3b4cfca6735a5a847abd3cc89449792a5ad53b1de4"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +93,27 @@ def clips_path(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_report_digests(kind, clips_path):
-    extra, digests = GOLDEN[kind]
+    extra, predictions, digests = GOLDEN[kind]
     preds = clips_path.parent / f"{kind}.json"
     argv = ["baseline", str(FIXTURE_DIR), "--kind", kind, "--seed", "42", *extra]
     assert main([*argv, "--out", str(preds)]) == 0
+    assert sha256(preds) == predictions, kind
     for fmt, want in digests.items():
         report = clips_path.parent / f"{kind}.report.{fmt}"
         evaluate = ["evaluate", "--gt", str(clips_path), "--pred", str(preds)]
         assert main([*evaluate, "--format", fmt, "--out", str(report)]) == 0
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == want, (kind, fmt)
+        assert sha256(report) == want, (kind, fmt)
+
+
+@pytest.mark.parametrize("args, want", FILES, ids=[" ".join(args) for args, _ in FILES])
+def test_output_digests(args, want, tmp_path):
+    command, *options = args
+    out = tmp_path / "out.json"
+    assert main([command, str(FIXTURE_DIR), *options, "--out", str(out)]) == 0
+    assert sha256(out) == want
+
+
+def test_loss_check_digest(check_file):
+    out = check_file.parent / "loss.report.json"
+    assert main(["loss-check", str(check_file), "--out", str(out)]) == 0
+    assert sha256(out) == LOSS_REPORT

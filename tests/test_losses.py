@@ -193,6 +193,19 @@ class TestClassification:
         with pytest.raises(LossError, match="outside distribution"):
             loss_class(outs, a)
 
+    @pytest.mark.parametrize("index", [-1, -10, True, 1.5])
+    def test_index_not_in_range_rejected(self, index):
+        # negative indices would wrap around and score another class; a bool
+        # would stand for 0 or 1, and a float cannot index at all
+        a = Assignment(
+            HeadVariant.Q_ACT,
+            (SlotTarget(gt_index=0, actionness=1.0, class_index=index),),
+            truncated=False,
+        )
+        outs = [SlotOutput(1.0, (0.1,) * C, 0.0)]
+        with pytest.raises(LossError, match="outside distribution"):
+            loss_class(outs, a)
+
 
 class TestTime:
     def test_exact_log_target_zero_loss(self):

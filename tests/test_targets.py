@@ -26,7 +26,6 @@ from kickcast.targets import (
     TargetError,
     assign_for_variant,
     hungarian,
-    sequential_assign,
 )
 from kickcast.windowing import GtAction, make_train_clips
 
@@ -63,9 +62,11 @@ def brute_force_min(cost):
 
 
 class TestSequential:
+    """Sequential pairing through the q-act head (q = 8, T_a = 5 s)."""
+
     def test_three_actions_eight_slots(self):
         gt = gts(400, 1_000, 4_999)
-        a = sequential_assign(gt, 8, 5.0)
+        a = assign_for_variant(HeadVariant.Q_ACT, gt, CFG)
         assert a.variant is HeadVariant.Q_ACT
         assert not a.truncated
         assert a.paired == ((0, 0), (1, 1), (2, 2))
@@ -74,14 +75,14 @@ class TestSequential:
         assert a.slots[3:] == (BLANK,) * 5
 
     def test_empty_window(self):
-        a = sequential_assign((), 8, 5.0)
+        a = assign_for_variant(HeadVariant.Q_ACT, (), CFG)
         assert a.slots == (BLANK,) * 8
         assert a.paired == ()
         assert not a.truncated
 
     def test_overflow_marks_truncated(self):
         gt = gts(*range(0, 4_500, 500))  # nine actions, eight slots
-        a = sequential_assign(gt, 8, 5.0)
+        a = assign_for_variant(HeadVariant.Q_ACT, gt, CFG)
         assert a.truncated
         assert len(a.paired) == 8
         # first eight actions kept, in time order
@@ -90,23 +91,19 @@ class TestSequential:
     def test_counting_oracle(self):
         for n in range(0, 12):
             gt = gts(*range(0, n * 400, 400))
-            a = sequential_assign(gt, 8, 5.0)
+            a = assign_for_variant(HeadVariant.Q_ACT, gt, CFG)
             assert len(a.paired) == min(n, 8)
             assert a.truncated == (n > 8)
 
     def test_unsorted_gt_rejected(self):
         with pytest.raises(TargetError, match="sorted"):
-            sequential_assign(gts(1_000, 400), 8, 5.0)
+            assign_for_variant(HeadVariant.Q_ACT, gts(1_000, 400), CFG)
 
     def test_out_of_window_gt_rejected(self):
         with pytest.raises(TargetError, match="outside window"):
-            sequential_assign(gts(5_000), 8, 5.0)
+            assign_for_variant(HeadVariant.Q_ACT, gts(5_000), CFG)
         with pytest.raises(TargetError, match="outside window"):
-            sequential_assign((GtAction(ActionClass.PASS, -1),), 8, 5.0)
-
-    def test_zero_queries_rejected(self):
-        with pytest.raises(TargetError, match="positive"):
-            sequential_assign((), 0, 5.0)
+            assign_for_variant(HeadVariant.Q_ACT, (GtAction(ActionClass.PASS, -1),), CFG)
 
 
 class TestHungarian:
@@ -212,12 +209,6 @@ class TestHungarian:
 
 
 class TestVariants:
-    def test_qact_matches_sequential(self):
-        gt = gts(400, 2_700)
-        assert assign_for_variant(HeadVariant.Q_ACT, gt, CFG) == sequential_assign(
-            gt, CFG.queries, CFG.anticipation_s
-        )
-
     def test_qeos_sentinel_then_unconstrained(self):
         # q = 4 keeps the worked shape small: two actions, EoS at slot 2,
         # slot 3 carries no loss at all
@@ -292,7 +283,7 @@ class TestHungarianVariants:
             slot_out(time_raw=math.log(g.offset_s / CFG.anticipation_s)) for g in gt
         ] + [slot_out(time_raw=0.0)] * 5
         hung = assign_for_variant(HeadVariant.Q_HUNG_TIME, gt, CFG, outputs=outputs)
-        seq = sequential_assign(gt, CFG.queries, CFG.anticipation_s)
+        seq = assign_for_variant(HeadVariant.Q_ACT, gt, CFG)
         assert hung.paired == seq.paired
         assert hung.slots == seq.slots
 
