@@ -33,6 +33,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .config import NUM_CLASSES
+
 SPLITS = ("train", "valid", "test", "challenge")
 
 _GAME_TIME_RE = re.compile(r"^\s*(\d+)\s*-\s*(\d+):([0-5]\d)(?:\.(\d{1,3}))?\s*$")
@@ -60,7 +62,7 @@ class ActionClass(enum.Enum):
 
 
 #: The ten classes retained for scoring, in canonical index order.
-RETAINED_CLASSES: tuple[ActionClass, ...] = tuple(ActionClass)[:10]
+RETAINED_CLASSES: tuple[ActionClass, ...] = tuple(ActionClass)[:NUM_CLASSES]
 EXCLUDED_CLASSES: tuple[ActionClass, ...] = (ActionClass.FREE_KICK, ActionClass.GOAL)
 
 #: Canonical class index (0-based) used by prediction heads and target encodings.

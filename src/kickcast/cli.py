@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from .annotations import GameAnnotations, class_stats, filter_classes, parse_annotations
@@ -26,6 +27,7 @@ from .fileio import (
     RENDERERS,
     VERSION,
     dump_json,
+    format_delta,
     iter_annotation_files,
     parse_delta,
     read_eval_clips,
@@ -84,6 +86,14 @@ def _eval_clips(games: Sequence[GameAnnotations], cfg: BenchConfig) -> list:
     return clips
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write a report to the ``--out`` file, or to stdout without one."""
+    if out:
+        write_text(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     games = _load_corpus(args.annotations, args.split)
@@ -117,32 +127,15 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
     rows = []
     for clip_id, outputs, assignment, seg in entries:
         parts = LossParts(
-            detection=loss_detection(outputs, assignment),
-            classification=loss_class(outputs, assignment, weights),
-            time=loss_time(outputs, assignment),
-            segmentation=loss_segmentation(seg[0], seg[1], weights) if seg else 0.0,
+            loss_detection(outputs, assignment),
+            loss_class(outputs, assignment, weights),
+            loss_time(outputs, assignment),
+            loss_segmentation(*seg, weights) if seg else 0.0,
         )
-        rows.append(
-            {
-                "id": clip_id,
-                "detection": parts.detection,
-                "classification": parts.classification,
-                "time": parts.time,
-                "segmentation": parts.segmentation,
-                "total": total_loss(parts, cfg),
-            }
-        )
-    mean = {
-        key: math.fsum(row[key] for row in rows) / len(rows)
-        for key in ("detection", "classification", "time", "segmentation", "total")
-    }
-    text = dump_json(
-        {"format": "kickcast-loss-report", "version": VERSION, "clips": rows, "mean": mean}
-    )
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+        rows.append({"id": clip_id, **asdict(parts), "total": total_loss(parts, cfg)})
+    mean = {k: math.fsum(row[k] for row in rows) / len(rows) for k in rows[0] if k != "id"}
+    doc = {"format": "kickcast-loss-report", "version": VERSION, "clips": rows, "mean": mean}
+    _emit(dump_json(doc), args.out)
     return 0
 
 
@@ -152,10 +145,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     deltas = tuple(parse_delta(part) for part in args.deltas.split(","))
     report = evaluate(clips, predictions, deltas)
     text = RENDERERS[args.format](report)
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return 0
 
 
@@ -222,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="predictions file")
     p.add_argument(
         "--deltas",
-        default=",".join("inf" if math.isinf(d) else str(int(d)) for d in DEFAULT_DELTAS),
+        default=",".join(map(format_delta, DEFAULT_DELTAS)),
         help="comma-separated tolerances in seconds (inf allowed)",
     )
     p.add_argument("--format", choices=sorted(RENDERERS), default="json")

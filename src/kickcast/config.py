@@ -36,8 +36,13 @@ class BenchConfig:
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self) -> None:
+        # Int fields take an int, float fields an int or a finite float; never a bool.
         for field in fields(self):
             value = getattr(self, field.name)
+            number = field.type == "float"
+            if not isinstance(value, (int, float) if number else int) or isinstance(value, bool):
+                what = "a number" if number else "an integer"
+                raise ValueError(f"{field.name} must be {what}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         # Tiling works in whole milliseconds and decoding in seconds, so the two

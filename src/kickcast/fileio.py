@@ -7,8 +7,8 @@ byte-identical files no matter how the records were generated.
 
 Every record list is read through :func:`_read_records`: a bad record ends
 the read with one :class:`FileFormatError` naming the file and the record,
-and integer and boolean fields must have exactly that JSON type, as in the
-schemas (``int()`` would take ``5.9``, ``"1"`` or ``true``).
+and integer, boolean and string fields must have exactly that JSON type, as
+in the schemas (``int()`` would take ``5.9``, ``"1"`` or ``true``).
 
 Formats (all version 1):
 
@@ -217,9 +217,9 @@ def _read_records(doc: dict, key: str, path: str | Path, what: str, read: Callab
 
 
 def _exact(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
-    """``value`` if its JSON type is exactly ``kind``, int or bool (or null, if ``nullable``)."""
+    """``value`` if its JSON type is exactly ``kind`` (or null, if ``nullable``)."""
     if type(value) is not kind and not (nullable and value is None):
-        what = "a boolean" if kind is bool else "an integer"
+        what = {bool: "a boolean", int: "an integer", str: "a string"}[kind]
         raise TypeError(f"{name} must be {what}, got {value!r}")
     return value
 
@@ -313,7 +313,7 @@ def write_eval_clips(path: str | Path, clips: Iterable[EvalClip], cfg: BenchConf
 
 def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
     clip = EvalClip(
-        game_id=rec["game_id"],
+        game_id=_exact(rec["game_id"], str, "game_id"),
         half=_exact(rec["half"], int, "half"),
         context_start_ms=_exact(rec["context_start_ms"], int, "context_start_ms"),
         context_end_ms=_exact(rec["context_end_ms"], int, "context_end_ms"),
@@ -325,7 +325,7 @@ def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
             for a in rec["gt_actions"]
         ),
     )
-    if rec["clip_id"] != clip.clip_id:
+    if _exact(rec["clip_id"], str, "clip_id") != clip.clip_id:
         raise ValueError(f"id {rec['clip_id']!r} does not match derived {clip.clip_id!r}")
     window = clip.window_len_ms
     if window <= 0 or (window < ta_ms) != clip.partial:
@@ -373,7 +373,7 @@ def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> No
 
 def _prediction(rec: dict) -> Prediction:
     return Prediction(
-        clip_id=rec["clip_id"],
+        clip_id=_exact(rec["clip_id"], str, "clip_id"),
         label=parse_label(rec["label"]),
         time_s=float(rec["time_s"]),
         confidence=float(rec["confidence"]),
@@ -476,7 +476,7 @@ def _loss_clip(rec: dict) -> _LossEntry:
     if seg_doc is not None:
         frame_dists = [[float(p) for p in dist] for dist in seg_doc["frame_dists"]]
         seg = (frame_dists, SegGrid(tuple(_exact(v, int, "labels") for v in seg_doc["labels"])))
-    return rec.get("id"), outputs, assignment, seg
+    return _exact(rec.get("id"), str, "id", nullable=True), outputs, assignment, seg
 
 
 def read_loss_check(

@@ -11,6 +11,9 @@ Conventions shared by all losses:
   degenerate outputs stay finite;
 * a slot only contributes to a loss when the assignment gives it a target
   for that quantity (see :mod:`kickcast.targets`);
+* detection and the multi-hot class head share one binary cross-entropy:
+  actionness targets may be soft (in [0, 1]), multi-hot entries must be 0
+  or 1, and anything else is a :class:`LossError`;
 * class weights are given in canonical class order; the sentinel
   (end-of-sequence / background) index always has weight 1.
 """
@@ -23,7 +26,7 @@ from typing import Sequence
 
 from .config import BenchConfig
 from .targets import Assignment
-from .timecodec import EPS_TIME
+from .timecodec import encode_time
 from .windowing import SegGrid
 
 #: Probability floor applied before logs.
@@ -60,19 +63,29 @@ class SlotOutput:
             raise LossError(f"time output {self.time_raw!r} is not finite")
 
 
-def check_distribution(probs: Sequence[float]) -> None:
-    """Require ``probs`` to be a categorical distribution (sum 1 +- 1e-9).
+def check_distribution(probs: Sequence[float], what: str = "class distribution") -> None:
+    """Require ``probs`` (named ``what`` in the error) to sum to 1 +- 1e-9.
 
     Softmax heads must satisfy this; the multi-hot sigmoid head need not,
     which is why it is not a :class:`SlotOutput` construction invariant.
     """
     total = math.fsum(probs)
     if abs(total - 1.0) > _SUM_TOL:
-        raise LossError(f"class distribution sums to {total!r}, expected 1")
+        raise LossError(f"{what} sums to {total!r}, expected 1")
 
 
 def _log(p: float) -> float:
     return math.log(max(p, EPS_PROB))
+
+
+def _bce(y: float, p: float, w: float = 1.0) -> float:
+    """Binary cross-entropy of output ``p`` for target ``y``, ``w`` weighting the positive term."""
+    return -(w * y * _log(p) + (1 - y) * _log(1.0 - p))
+
+
+def _weight(weights: Sequence[float] | None, idx: int) -> float:
+    """Weight of class ``idx``; 1 without weights and for indices past them (sentinels)."""
+    return 1.0 if weights is None or idx >= len(weights) else weights[idx]
 
 
 def _check_pairing(outputs: Sequence[SlotOutput], assignment: Assignment) -> None:
@@ -89,10 +102,9 @@ def loss_detection(outputs: Sequence[SlotOutput], assignment: Assignment) -> flo
     for out, slot in zip(outputs, assignment.slots):
         if slot.actionness is None:
             continue
-        if slot.actionness == 1.0:
-            terms.append(-_log(out.actionness))
-        else:
-            terms.append(-_log(1.0 - out.actionness))
+        if not 0.0 <= slot.actionness <= 1.0:
+            raise LossError(f"actionness target {slot.actionness!r} outside [0, 1]")
+        terms.append(_bce(slot.actionness, out.actionness))
     return math.fsum(terms) / len(terms) if terms else 0.0
 
 
@@ -117,21 +129,19 @@ def loss_class(
                 raise LossError(
                     f"class target {idx!r} outside distribution of {len(out.class_probs)}"
                 )
-            w = 1.0 if weights is None or idx >= len(weights) else weights[idx]
-            terms.append(-w * _log(out.class_probs[idx]))
+            terms.append(-_weight(weights, idx) * _log(out.class_probs[idx]))
         elif slot.class_multihot is not None:
             hot = slot.class_multihot
             if len(hot) != len(out.class_probs):
                 raise LossError(
                     f"multi-hot target of {len(hot)} vs distribution of {len(out.class_probs)}"
                 )
-            per_class = []
-            for c, (y, p) in enumerate(zip(hot, out.class_probs)):
-                if y:
-                    w = 1.0 if weights is None or c >= len(weights) else weights[c]
-                    per_class.append(-w * _log(p))
-                else:
-                    per_class.append(-_log(1.0 - p))
+            if any(y not in (0, 1) for y in hot):
+                raise LossError(f"multi-hot target {hot!r} has an entry other than 0 or 1")
+            per_class = [
+                _bce(y, p, _weight(weights, c))
+                for c, (y, p) in enumerate(zip(hot, out.class_probs))
+            ]
             terms.append(math.fsum(per_class) / len(per_class))
     return math.fsum(terms) / len(terms) if terms else 0.0
 
@@ -145,8 +155,7 @@ def loss_time(outputs: Sequence[SlotOutput], assignment: Assignment) -> float:
             continue
         if not 0.0 <= slot.time < 1.0:
             raise LossError(f"time target {slot.time} outside [0, 1)")
-        u = math.log(slot.time + EPS_TIME)
-        terms.append((out.time_raw - u) ** 2)
+        terms.append((out.time_raw - encode_time(slot.time, 1.0)) ** 2)
     return math.fsum(terms) / len(terms) if terms else 0.0
 
 
@@ -165,15 +174,10 @@ def loss_segmentation(
         raise LossError(f"{len(frame_dists)} frame distributions for {len(labels)} labels")
     terms = []
     for f, (dist, label) in enumerate(zip(frame_dists, labels)):
-        total = math.fsum(dist)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise LossError(f"frame {f} distribution sums to {total!r}, expected 1")
+        check_distribution(dist, f"frame {f} distribution")
         if not 0 <= label < len(dist):
             raise LossError(f"frame {f} label {label} outside distribution of {len(dist)}")
-        if label == 0 or weights is None or label - 1 >= len(weights):
-            w = 1.0
-        else:
-            w = weights[label - 1]
+        w = 1.0 if label == 0 else _weight(weights, label - 1)
         terms.append(-w * _log(dist[label]))
     return math.fsum(terms) / len(terms) if terms else 0.0
 

@@ -181,23 +181,21 @@ def hungarian(cost: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
     if n_rows == 0 or n_cols == 0:
         return ()
 
-    # Tie-break: attach a secondary integer cost encoding the pairing as a
-    # base-B number with one digit per row (col j -> j+1, no col -> C+1,
-    # B = C+2).  Minimising the secondary among primary-optimal solutions
-    # picks the lexicographically smallest pairing.
+    # Tie-break: attach a secondary integer cost so that minimising it among
+    # primary-optimal solutions picks the lexicographically smallest pairing.
+    # That is the base-B number with one digit per row (col j -> j+1, no col
+    # -> C+1, B = C+2) with row i worth w = B^(R-1-i).  It is a constant
+    # (C+1)·sum(w) plus (j - C)·w per paired row, so pairs carry (j - C)·w.
     base = n_cols + 2
     weights = [base ** (n_rows - 1 - i) for i in range(n_rows)]
+    a = [[(c, (j - n_cols) * w) for j, c in enumerate(row)] for row, w in zip(cost, weights)]
     if n_rows <= n_cols:
-        a = [[(c, (j + 1) * w) for j, c in enumerate(row)] for row, w in zip(cost, weights)]
         return tuple(enumerate(_solve(a)))
-    # Transposed: every column is paired and R - C rows are not.  Their
-    # digits C+1 add up to a constant minus (C+1)·w for each paired row, so
-    # the digit (j - C)·w per pair minimises the same base-B number.
-    a = [[(row[j], (j - n_cols) * w) for row, w in zip(cost, weights)] for j in range(n_cols)]
-    return tuple(sorted((i, j) for j, i in enumerate(_solve(a))))
+    # Tall: solve the transpose, so its rows are the shorter side.
+    return tuple(sorted((i, j) for j, i in enumerate(_solve(list(zip(*a))))))
 
 
-def _solve(a: list[list[tuple[float, int]]]) -> list[int]:
+def _solve(a: Sequence[Sequence[tuple[float, int]]]) -> list[int]:
     """Column of each row in a minimum assignment of ``a``, which has rows <= cols.
 
     Shortest augmenting paths over (primary, secondary) pairs, compared

@@ -432,6 +432,7 @@ class TestBadInput:
             ("class_multihot", [0, "1"]),
             (None, 5),
             ("truncated", "no"),
+            ("id", 5),
         ],
     )
     def test_bad_loss_check_field(self, tmp_path, capsys, key, value):
@@ -439,7 +440,7 @@ class TestBadInput:
         clip = doc["clips"][0]
         if key is None:
             clip["slots"][0] = value
-        elif key == "truncated":
+        elif key in ("truncated", "id"):
             clip[key] = value
         else:
             clip["slots"][0] = {**clip["slots"][0], key: value}
@@ -465,21 +466,79 @@ class TestBadInput:
         self.assert_one_error_line(code, err)
         assert f"class target {index} outside distribution" in err
 
-    @pytest.mark.parametrize("key", ["half", "offset_ms"])
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("actionness", 5.0, "actionness target 5.0 outside [0, 1]"),
+            ("class_multihot", [2] + [0] * 9, "entry other than 0 or 1"),
+        ],
+    )
+    def test_loss_target_out_of_range(self, tmp_path, capsys, key, value, match):
+        doc = loss_check_doc()
+        slot = {"gt_index": 0, "actionness": 1.0, "class_index": None, "class_multihot": None}
+        doc["clips"][0]["slots"][0] = {**slot, "time": 0.5, key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["loss-check", str(bad)], capsys)
+        self.assert_one_error_line(code, err)
+        assert match in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("queries", 8.5),
+            ("dilation_radius", 2.5),
+            ("num_classes", 10.0),
+            ("context_s", True),
+            ("context_s", 5),  # an int is a valid number of seconds
+        ],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "loss-check"])
+    def test_config_field_type(self, tmp_path, capsys, request, command, key, value):
+        source = request.getfixturevalue("clips_file" if command == "evaluate" else "check_file")
+        doc = json.loads(source.read_text())
+        doc["config"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        if command == "evaluate":
+            oracle_file = request.getfixturevalue("oracle_file")
+            argv = ["evaluate", "--gt", str(bad), "--pred", str(oracle_file)]
+        else:
+            argv = ["loss-check", str(bad)]
+        code, _, err = run(argv, capsys)
+        if type(value) is int:
+            assert (code, err) == (0, "")
+        else:
+            self.assert_one_error_line(code, err)
+            assert f"{key} must be" in err
+    @pytest.mark.parametrize("key", ["half", "offset_ms", "game_id", "clip_id"])
     def test_bad_eval_clip_field(self, tmp_path, capsys, clips_file, oracle_file, key):
         doc = json.loads(clips_file.read_text())
         clip = next(c for c in doc["clips"] if c["gt_actions"])
         if key == "half":
             clip["half"] = str(clip["half"])  # the derived clip id does not change
-        else:
+        elif key == "offset_ms":
             clip["gt_actions"][0]["offset_ms"] += 0.9  # int() would truncate it
+        else:
+            clip[key] = 5
         doc["clips"] = [clip]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, _, err = run(["evaluate", "--gt", str(bad), "--pred", str(oracle_file)], capsys)
         self.assert_one_error_line(code, err)
         assert err.count(f"{bad}: clip #0: ") == 1
-        assert f"{key} must be an integer" in err
+        what = "a string" if key.endswith("_id") else "an integer"
+        assert f"{key} must be {what}" in err
+
+    def test_bad_prediction_clip_id(self, tmp_path, capsys, clips_file, oracle_file):
+        doc = json.loads(oracle_file.read_text())
+        doc["predictions"][0]["clip_id"] = 7
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["evaluate", "--gt", str(clips_file), "--pred", str(bad)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err.count(f"{bad}: prediction #0: ") == 1
+        assert "clip_id must be a string" in err
 
     def test_directory_named_like_annotation_file(self, tmp_path, capsys):
         ann = tmp_path / "ann"

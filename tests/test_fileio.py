@@ -577,7 +577,7 @@ def schema_at(root, registry, path):
     return schema, resolver
 
 
-JSON_TYPES = {bool: "boolean", int: "integer", type(None): "null"}
+JSON_TYPES = {bool: "boolean", int: "integer", str: "string", type(None): "null"}
 
 
 def admitted_types(schema):

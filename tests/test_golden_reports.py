@@ -3,17 +3,27 @@
 The report digests were recorded before the evaluator was rewritten to rank
 each class once; the ``prepare``, ``targets``, ``baseline`` and
 ``loss-check`` digests were recorded before the readers were folded into
-one strictly typed path.  So they tie every later build to the same bytes,
-not only to itself (acceptance 8 checks repeat runs of one build).
+one strictly typed path, and the multi-variant ``loss-check`` digest before
+the losses shared one binary cross-entropy and one class-weight lookup.  So
+they tie every later build to the same bytes, not only to itself
+(acceptance 8 checks repeat runs of one build).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import random
+from dataclasses import asdict
 
 import pytest
 
 from kickcast.cli import main
+from kickcast.config import BenchConfig
+from kickcast.fileio import config_to_doc, dump_json, targets_to_doc
+from kickcast.losses import SlotOutput
+from kickcast.targets import HEADS, HeadVariant, assign_for_variant
+from kickcast.windowing import make_train_clips, segmentation_targets
 
 from conftest import FIXTURE_DIR
 
@@ -79,6 +89,9 @@ FILES = [(["prepare", "--ta", ta], want) for ta, want in PREPARE.items()] + [
 #: sha256 of the ``loss-check`` report on the ``check_file`` fixture.
 LOSS_REPORT = "a987ba71ad3716643bbcfa3b4cfca6735a5a847abd3cc89449792a5ad53b1de4"
 
+#: sha256 of the ``loss-check`` report on :func:`multi_variant_loss_doc`.
+MULTI_VARIANT_LOSS_REPORT = "952b28636d07d2725ef95cdf0f1f765e739bd916811022d3c22221ed70a59b2f"
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -117,3 +130,67 @@ def test_loss_check_digest(check_file):
     out = check_file.parent / "loss.report.json"
     assert main(["loss-check", str(check_file), "--out", str(out)]) == 0
     assert sha256(out) == LOSS_REPORT
+
+
+def _distribution(rng: random.Random, n: int) -> list[float]:
+    raw = [rng.random() + 0.01 for _ in range(n)]
+    total = math.fsum(raw)
+    return [x / total for x in raw]
+
+
+def multi_variant_loss_doc(corpus) -> dict:
+    """Two train clips per head variant, with class weights and segmentation.
+
+    Slot targets come from ``assign_for_variant`` (so only 0/1 actionness and
+    multi-hot targets); outputs and frame distributions from a seeded RNG.
+    """
+    cfg = BenchConfig()
+    rng = random.Random(7)
+    clips = [
+        clip
+        for game in corpus
+        if game.split == "train"
+        for clip in make_train_clips(game, cfg)
+        if clip.future_actions
+    ][::97]
+    records = []
+    for variant, clip in zip(list(HeadVariant) * 2, clips):
+        width = cfg.num_classes + HEADS[variant].sentinel
+        outputs = [
+            SlotOutput(rng.random(), tuple(_distribution(rng, width)), -5.0 * rng.random())
+            for _ in range(cfg.queries)
+        ]
+        assignment = assign_for_variant(variant, clip.future_actions, cfg, outputs)
+        grid = segmentation_targets(clip, cfg)
+        targets = targets_to_doc([(clip.clip_id, assignment)], cfg, variant)["clips"][0]
+        records.append(
+            {
+                "id": f"{variant.value}/{clip.clip_id}",
+                "variant": variant.value,
+                "outputs": [asdict(o) for o in outputs],
+                "slots": targets["slots"],
+                "truncated": targets["truncated"],
+                "segmentation": {
+                    "frame_dists": [_distribution(rng, cfg.num_classes + 1) for _ in grid.labels],
+                    "labels": list(grid.labels),
+                },
+            }
+        )
+    return {
+        "format": "kickcast-loss-check",
+        "version": 1,
+        "config": config_to_doc(cfg),
+        "weights": [0.5 + 0.25 * c for c in range(cfg.num_classes)],
+        "clips": records,
+    }
+
+
+def test_multi_variant_loss_check_digest(corpus, tmp_path):
+    doc = multi_variant_loss_doc(corpus)
+    variants = {clip["variant"] for clip in doc["clips"]}
+    assert variants == {v.value for v in HeadVariant}
+    check = tmp_path / "check.json"
+    check.write_text(dump_json(doc))
+    out = tmp_path / "loss.report.json"
+    assert main(["loss-check", str(check), "--out", str(out)]) == 0
+    assert sha256(out) == MULTI_VARIANT_LOSS_REPORT

@@ -12,7 +12,6 @@ from kickcast.annotations import ActionClass
 from kickcast.config import BenchConfig
 from kickcast.losses import (
     EPS_PROB,
-    EPS_TIME,
     LossError,
     LossParts,
     SlotOutput,
@@ -31,6 +30,7 @@ from kickcast.targets import (
     SlotTarget,
     assign_for_variant,
 )
+from kickcast.timecodec import EPS_TIME
 from kickcast.windowing import GtAction, SegGrid
 
 CFG = BenchConfig()
@@ -124,6 +124,18 @@ class TestDetection:
         with pytest.raises(LossError, match="outputs"):
             loss_detection([SlotOutput(0.5, (1.0 / C,) * C, 0.0)], a)
 
+    def test_soft_target(self):
+        p = 0.9
+        a = Assignment(HeadVariant.Q_ACT, (SlotTarget(gt_index=None, actionness=0.5),), False)
+        got = loss_detection([SlotOutput(p, (1.0 / C,) * C, 0.0)], a)
+        assert got == pytest.approx(-(0.5 * math.log(p) + 0.5 * math.log(1.0 - p)), rel=1e-15)
+
+    @pytest.mark.parametrize("target", [5.0, -0.5, math.nan])
+    def test_target_outside_unit_interval(self, target):
+        a = Assignment(HeadVariant.Q_ACT, (SlotTarget(gt_index=None, actionness=target),), False)
+        with pytest.raises(LossError, match=r"actionness target .* outside \[0, 1\]"):
+            loss_detection([SlotOutput(0.9, (1.0 / C,) * C, 0.0)], a)
+
 
 class TestClassification:
     def test_uniform_ten_way_is_ln10(self):
@@ -166,6 +178,17 @@ class TestClassification:
 
         expect = math.fsum(bce(s.class_multihot) for s in a.slots) / len(a.slots)
         assert loss_class(outs, a, weights) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("entry", [2, -1])
+    def test_multihot_entry_not_binary_rejected(self, entry):
+        hot = (entry,) + (0,) * (C - 1)
+        a = Assignment(
+            HeadVariant.Q_BCE,
+            (SlotTarget(gt_index=0, actionness=1.0, class_multihot=hot),),
+            truncated=False,
+        )
+        with pytest.raises(LossError, match="other than 0 or 1"):
+            loss_class([SlotOutput(1.0, (0.7,) * C, 0.0)], a)
 
     def test_multihot_probs_need_not_sum_to_one(self):
         a = assignment_for([400], variant=HeadVariant.Q_BCE)
