@@ -38,7 +38,15 @@ from .fileio import (
     write_targets,
     write_text,
 )
-from .losses import LossParts, loss_class, loss_detection, loss_segmentation, loss_time, total_loss
+from .losses import (
+    LossError,
+    LossParts,
+    loss_class,
+    loss_detection,
+    loss_segmentation,
+    loss_time,
+    total_loss,
+)
 from .metrics import DEFAULT_DELTAS, evaluate
 from .targets import HEADS, HeadVariant, assign_for_variant
 from .windowing import make_eval_clips, make_train_clips
@@ -125,13 +133,16 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
     if not entries:
         raise ValueError(f"{args.file}: no clips to check")
     rows = []
-    for clip_id, outputs, assignment, seg in entries:
-        parts = LossParts(
-            loss_detection(outputs, assignment),
-            loss_class(outputs, assignment, weights),
-            loss_time(outputs, assignment),
-            loss_segmentation(*seg, weights) if seg else 0.0,
-        )
+    for i, (clip_id, outputs, assignment, seg) in enumerate(entries):
+        try:
+            parts = LossParts(
+                loss_detection(outputs, assignment),
+                loss_class(outputs, assignment, weights),
+                loss_time(outputs, assignment),
+                loss_segmentation(*seg, weights) if seg else 0.0,
+            )
+        except LossError as exc:
+            raise LossError(f"{args.file}: clip #{i} ({clip_id}): {exc}") from exc
         rows.append({"id": clip_id, **asdict(parts), "total": total_loss(parts, cfg)})
     mean = {k: math.fsum(row[k] for row in rows) / len(rows) for k in rows[0] if k != "id"}
     doc = {"format": "kickcast-loss-report", "version": VERSION, "clips": rows, "mean": mean}

@@ -373,10 +373,10 @@ def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> No
 
 def _prediction(rec: dict) -> Prediction:
     return Prediction(
-        clip_id=_exact(rec["clip_id"], str, "clip_id"),
-        label=parse_label(rec["label"]),
-        time_s=float(rec["time_s"]),
-        confidence=float(rec["confidence"]),
+        _exact(rec["clip_id"], str, "clip_id"),
+        parse_label(rec["label"]),
+        float(rec["time_s"]),
+        float(rec["confidence"]),
     )
 
 
@@ -479,17 +479,32 @@ def _loss_clip(rec: dict) -> _LossEntry:
     return _exact(rec.get("id"), str, "id", nullable=True), outputs, assignment, seg
 
 
+def _weights(doc: dict, path: str | Path) -> tuple[float, ...] | None:
+    """The class weights, each a finite JSON number > 0 (not a boolean), or None."""
+    items = _list(doc, "weights", path)
+    if items is None:
+        return None
+    weights: list[float] = []
+    try:
+        for value in items:
+            if type(value) is not float and type(value) is not int:
+                raise TypeError(f"must be a number, got {value!r}")
+            weight = float(value)
+            if not (math.isfinite(weight) and weight > 0.0):
+                raise ValueError(f"must be finite and > 0, got {value!r}")
+            weights.append(weight)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{path}: weights #{len(weights)}: {exc}") from exc
+    return tuple(weights)
+
+
 def read_loss_check(
     path: str | Path,
 ) -> tuple[BenchConfig, tuple[float, ...] | None, list[_LossEntry]]:
     """Parse a loss-check document into (config, weights, per-clip entries)."""
     doc = _load(path, FORMAT_LOSS_CHECK)
     cfg = config_from_doc(doc.get("config", {}))
-    weights_doc = _list(doc, "weights", path)
-    try:
-        weights = tuple(float(w) for w in weights_doc) if weights_doc is not None else None
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: weights: {exc}") from exc
+    weights = _weights(doc, path)
     clips = _read_records(doc, "clips", path, "clip", _loss_clip)
     entries = [(str(i if id_ is None else id_), *rest) for i, (id_, *rest) in enumerate(clips)]
     return cfg, weights, entries

@@ -8,13 +8,18 @@ Per-class AP uses all-point interpolation (the precision envelope over
 recall), mAP@delta is the unweighted mean over classes that have ground
 truth, and the headline number averages mAP over the six tolerances.
 
-``evaluate`` ranks each class once (a stable sort, so identical predictions
-keep their input order); read within one clip, that ranking is also the
-matching order.  Per tolerance only (clip, class) groups with ground truth
-are matched, by bisection into their sorted times.  AP visits only TP ranks
-and adds one exact rational per precision-envelope segment, rounded once at
-the end, so reports are bit-for-bit reproducible and independent of input
-order.
+A :class:`Prediction` is a validating tuple that unpacks as the 5-tuple
+``(clip_id, label, time_s, confidence, time_clamped)``: a scored file holds
+tens of thousands, so building and reading one must cost little.
+
+``evaluate`` buckets the predictions by class in one pass and ranks each
+class once (two stable sorts, so identical predictions keep their input
+order); read within one clip, that ranking is also the matching order.  Per
+tolerance only (clip, class) groups with ground truth are matched, by
+bisection into their sorted times, and a group stops once all its ground
+truths are taken.  AP visits only TP ranks and adds one exact rational per
+precision-envelope segment, rounded once at the end, so reports are
+bit-for-bit reproducible and independent of input order.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .annotations import CLASS_INDEX, RETAINED_CLASSES, ActionClass
+from .annotations import RETAINED_CLASSES, ActionClass
 from .config import BenchConfig
 from .losses import SlotOutput, check_distribution
 from .targets import HEADS, HeadVariant, Pairing
@@ -41,26 +47,52 @@ class MetricError(ValueError):
     """Raised for malformed predictions or scoring inputs."""
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """One anticipated action.
-
-    ``time_s`` is relative to the anticipation window start.  ``time_clamped``
-    records that decoding had to pull the raw time back into the window; it
-    is bookkeeping, not part of the prediction's identity on disk.
-    """
-
+class _PredictionFields(NamedTuple):
     clip_id: str
     label: ActionClass
     time_s: float
     confidence: float
     time_clamped: bool = False
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.time_s) and self.time_s >= 0.0):
-            raise MetricError(f"prediction time {self.time_s!r} must be finite and >= 0")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise MetricError(f"confidence {self.confidence!r} outside [0, 1]")
+
+class Prediction(_PredictionFields):
+    """One anticipated action.
+
+    ``time_s`` is relative to the anticipation window start.  ``time_clamped``
+    records that decoding had to pull the raw time back into the window; it
+    is bookkeeping, not part of the prediction's identity on disk.
+
+    An immutable tuple subclass: it unpacks as the 5-tuple ``(clip_id, label,
+    time_s, confidence, time_clamped)`` and compares equal (with an equal
+    hash) to a plain tuple of the same fields.  Construction, positional or
+    by keyword, checks the time and the confidence.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        clip_id: str,
+        label: ActionClass,
+        time_s: float,
+        confidence: float,
+        time_clamped: bool = False,
+    ) -> Prediction:
+        if not (math.isfinite(time_s) and time_s >= 0.0):
+            raise MetricError(f"prediction time {time_s!r} must be finite and >= 0")
+        if not 0.0 <= confidence <= 1.0:
+            raise MetricError(f"confidence {confidence!r} outside [0, 1]")
+        return tuple.__new__(cls, (clip_id, label, time_s, confidence, time_clamped))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Prediction:
+        # namedtuple's own _make (and so _replace) would skip the checks
+        return cls(*iterable)
+
+
+#: Ranking keys: ``(time_s, clip_id)`` and ``confidence`` of a Prediction.
+_TIME_CLIP = itemgetter(2, 0)
+_CONFIDENCE = itemgetter(3)
 
 
 @dataclass(frozen=True)
@@ -102,6 +134,7 @@ def decode_predictions(
     """
     spec = HEADS[variant]
     n_classes = cfg.num_classes
+    classes = RETAINED_CLASSES[:n_classes]
     want = n_classes + spec.sentinel
     ta_s = cfg.anticipation_s
     bin_s = ta_s / cfg.queries
@@ -121,16 +154,9 @@ def decode_predictions(
         else:
             time_s = decode_time(out.time_raw, ta_s)
         clamped = out.time_raw > 0.0  # exp(raw) > 1 would leave the span
-        for c in range(n_classes):
-            preds.append(
-                Prediction(
-                    clip_id=clip_id,
-                    label=RETAINED_CLASSES[c],
-                    time_s=time_s,
-                    confidence=out.actionness * out.class_probs[c],
-                    time_clamped=clamped,
-                )
-            )
+        actionness = out.actionness
+        for label, p in zip(classes, out.class_probs):
+            preds.append(Prediction(clip_id, label, time_s, actionness * p, clamped))
     return preds
 
 
@@ -147,9 +173,11 @@ def _match_group(
     ``members`` are ``(slot, time_s)`` pairs in matching order, ``gts`` is
     sorted.  The ground truths within reach are one run around the bisection
     point, found by stepping outwards with the match's own test: the float
-    window ``[t - half, t + half]`` misses boundary cases it accepts.
+    window ``[t - half, t + half]`` misses boundary cases it accepts.  Once
+    every ground truth is taken, the remaining members are all FPs.
     """
-    taken = [False] * len(gts)
+    left = len(gts)
+    taken = [False] * left
     for slot, t in members:
         lo = hi = bisect_left(gts, t)
         while lo and abs(t - gts[lo - 1]) <= half:
@@ -166,6 +194,9 @@ def _match_group(
         if best >= 0:
             taken[best] = True
             flags[slot] = True
+            left -= 1
+            if not left:
+                return
 
 
 def match_window(
@@ -218,43 +249,48 @@ def evaluate(
         _check_tolerance(delta)
     if len(set(deltas)) != len(deltas):
         raise MetricError(f"duplicate tolerances in {deltas!r}")
-    by_id: dict[str, EvalClip] = {}
+    window_s: dict[str, float] = {}  # clip id -> window length
     gt_times: dict[ActionClass, dict[str, list[float]]] = {c: {} for c in RETAINED_CLASSES}
     for clip in clips:
-        if clip.clip_id in by_id:
-            raise MetricError(f"duplicate clip id {clip.clip_id!r}")
-        by_id[clip.clip_id] = clip
+        clip_id = clip.clip_id
+        if clip_id in window_s:
+            raise MetricError(f"duplicate clip id {clip_id!r}")
+        window_s[clip_id] = clip.window_len_s
         for action in clip.gt_actions:
-            if action.label not in CLASS_INDEX:
-                raise MetricError(
-                    f"clip {clip.clip_id!r} has excluded class {action.label.value!r}"
-                )
-            gt_times[action.label].setdefault(clip.clip_id, []).append(action.offset_s)
+            class_gt = gt_times.get(action.label)
+            if class_gt is None:
+                raise MetricError(f"clip {clip_id!r} has excluded class {action.label.value!r}")
+            class_gt.setdefault(clip_id, []).append(action.offset_s)
 
+    # A missing bucket is an excluded class: the retained ones all have one.
     by_class: dict[ActionClass, list[Prediction]] = {c: [] for c in RETAINED_CLASSES}
     n_clamped = 0
     for pred in predictions:
-        clip = by_id.get(pred.clip_id)
-        if clip is None:
-            raise MetricError(f"prediction references unknown clip {pred.clip_id!r}")
-        if pred.label not in CLASS_INDEX:
-            raise MetricError(f"prediction has excluded class {pred.label.value!r}")
-        if pred.time_s > clip.window_len_s:
+        clip_id, label, time_s, _, clamped = pred
+        window = window_s.get(clip_id)
+        if window is None:
+            raise MetricError(f"prediction references unknown clip {clip_id!r}")
+        bucket = by_class.get(label)
+        if bucket is None:
+            raise MetricError(f"prediction has excluded class {label.value!r}")
+        if time_s > window:
             raise MetricError(
-                f"prediction at {pred.time_s} s outside {clip.window_len_s} s window"
-                f" of clip {pred.clip_id!r}"
+                f"prediction at {time_s} s outside {window} s window of clip {clip_id!r}"
             )
-        by_class[pred.label].append(pred)
-        n_clamped += pred.time_clamped
+        bucket.append(pred)
+        n_clamped += clamped
 
     scores: dict[float, dict[ActionClass, ClassScore]] = {d: {} for d in deltas}
     for label, ranked in by_class.items():
-        ranked.sort(key=lambda p: (-p.confidence, p.time_s, p.clip_id))
+        # Two stable sorts give the order of the key (-confidence, time_s,
+        # clip_id) without calling a Python function per prediction.
+        ranked.sort(key=_TIME_CLIP)
+        ranked.sort(key=_CONFIDENCE, reverse=True)
         class_gt = {clip_id: sorted(times) for clip_id, times in gt_times[label].items()}
         groups: dict[str, list[tuple[int, float]]] = {}
-        for slot, p in enumerate(ranked):
-            if p.clip_id in class_gt:
-                groups.setdefault(p.clip_id, []).append((slot, p.time_s))
+        for slot, (clip_id, _, time_s, _, _) in enumerate(ranked):
+            if clip_id in class_gt:
+                groups.setdefault(clip_id, []).append((slot, time_s))
         total = sum(map(len, class_gt.values()))
         for delta in deltas:
             flags = [False] * len(ranked)
@@ -275,7 +311,7 @@ def evaluate(
         scores=scores,
         map_at=map_at,
         average=average,
-        clip_count=len(by_id),
+        clip_count=len(window_s),
         prediction_count=sum(map(len, by_class.values())),
         clamped_predictions=n_clamped,
     )

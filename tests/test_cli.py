@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 
 import pytest
@@ -482,6 +483,28 @@ class TestBadInput:
         code, _, err = run(["loss-check", str(bad)], capsys)
         self.assert_one_error_line(code, err)
         assert match in err
+        assert err.count(f"{bad}: clip #0 (demo): ") == 1
+
+    @pytest.mark.parametrize(
+        "weight, match",
+        [
+            (-1.0, "must be finite and > 0, got -1.0"),
+            (0, "must be finite and > 0, got 0"),
+            (math.nan, "must be finite and > 0, got nan"),
+            (math.inf, "must be finite and > 0, got inf"),
+            ("1.5", "must be a number, got '1.5'"),
+            (True, "must be a number, got True"),
+        ],
+    )
+    def test_bad_loss_weight(self, tmp_path, capsys, weight, match):
+        doc = loss_check_doc()
+        doc["weights"] = [1.0, 1.0, weight] + [1.0] * 7
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # NaN and Infinity as JSON's extension literals
+        code, out, err = run(["loss-check", str(bad)], capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert f"{bad}: weights #2: {match}" in err
 
     @pytest.mark.parametrize(
         "key, value",

@@ -3,10 +3,11 @@
 The report digests were recorded before the evaluator was rewritten to rank
 each class once; the ``prepare``, ``targets``, ``baseline`` and
 ``loss-check`` digests were recorded before the readers were folded into
-one strictly typed path, and the multi-variant ``loss-check`` digest before
-the losses shared one binary cross-entropy and one class-weight lookup.  So
-they tie every later build to the same bytes, not only to itself
-(acceptance 8 checks repeat runs of one build).
+one strictly typed path, the multi-variant ``loss-check`` digest before the
+losses shared one binary cross-entropy and one class-weight lookup, and the
+dense ``evaluate`` digest before ``Prediction`` became a tuple and ranking
+dropped its key function.  So they tie every later build to the same bytes,
+not only to itself (acceptance 8 checks repeat runs of one build).
 """
 
 from __future__ import annotations
@@ -18,10 +19,18 @@ from dataclasses import asdict
 
 import pytest
 
+from kickcast.annotations import CLASS_INDEX
 from kickcast.cli import main
 from kickcast.config import BenchConfig
-from kickcast.fileio import config_to_doc, dump_json, targets_to_doc
+from kickcast.fileio import (
+    config_to_doc,
+    dump_json,
+    read_eval_clips,
+    targets_to_doc,
+    write_predictions,
+)
 from kickcast.losses import SlotOutput
+from kickcast.metrics import decode_predictions
 from kickcast.targets import HEADS, HeadVariant, assign_for_variant
 from kickcast.windowing import make_train_clips, segmentation_targets
 
@@ -91,6 +100,10 @@ LOSS_REPORT = "a987ba71ad3716643bbcfa3b4cfca6735a5a847abd3cc89449792a5ad53b1de4"
 
 #: sha256 of the ``loss-check`` report on :func:`multi_variant_loss_doc`.
 MULTI_VARIANT_LOSS_REPORT = "952b28636d07d2725ef95cdf0f1f765e739bd916811022d3c22221ed70a59b2f"
+
+#: sha256 of the ``evaluate`` json report on :func:`dense_slot_outputs` decoded
+#: over the fixture test clips.
+DENSE_REPORT = "ae8533a1751a578635675f1abe500ef7770baaa6e00e466f1a73d5f8ca87cb36"
 
 
 def sha256(path) -> str:
@@ -194,3 +207,54 @@ def test_multi_variant_loss_check_digest(corpus, tmp_path):
     out = tmp_path / "loss.report.json"
     assert main(["loss-check", str(check), "--out", str(out)]) == 0
     assert sha256(out) == MULTI_VARIANT_LOSS_REPORT
+
+
+def dense_slot_outputs(rng: random.Random, clip, cfg: BenchConfig) -> list[SlotOutput]:
+    """q-act outputs for one clip on coarse grids, so that confidences and times tie.
+
+    Slot i leans towards the clip's i-th action, if any, at its time rounded
+    to 0.5 s; the other slots are spread over the window.  Some slots of a
+    whole window decode clamped to its end.
+    """
+    C = cfg.num_classes
+    window = clip.window_len_s
+    outs = []
+    for i in range(cfg.queries):
+        if i < len(clip.gt_actions):
+            action = clip.gt_actions[i]
+            hot = CLASS_INDEX[action.label]
+            time_s = min(max(round(2 * action.offset_s) / 2, 0.5), 0.9 * window)
+        else:
+            hot = rng.randrange(C)
+            time_s = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)) * window
+        probs = [0.05] * C
+        probs[hot] = 0.55
+        if rng.random() < 0.25:
+            probs = [0.1] * C
+        time_raw = math.log(time_s / cfg.anticipation_s)
+        if not clip.partial and rng.random() < 0.125:
+            time_raw = 0.5
+        outs.append(SlotOutput(rng.choice((0.25, 0.5, 1.0)), tuple(probs), time_raw))
+    return outs
+
+
+def test_dense_report_digest(tmp_path):
+    clips_path = tmp_path / "clips.json"
+    assert main(["prepare", str(FIXTURE_DIR), "--split", "test", "--out", str(clips_path)]) == 0
+    clips, cfg = read_eval_clips(clips_path)
+    rng = random.Random(23)
+    preds = [
+        p
+        for clip in clips
+        for p in decode_predictions(
+            clip.clip_id, dense_slot_outputs(rng, clip, cfg), HeadVariant.Q_ACT, cfg
+        )
+    ]
+    assert len(preds) == len(clips) * cfg.queries * cfg.num_classes
+    assert any(p.time_clamped for p in preds)
+    preds_path = tmp_path / "preds.json"
+    write_predictions(preds_path, preds)
+    report = tmp_path / "report.json"
+    evaluate = ["evaluate", "--gt", str(clips_path), "--pred", str(preds_path)]
+    assert main([*evaluate, "--format", "json", "--out", str(report)]) == 0
+    assert sha256(report) == DENSE_REPORT

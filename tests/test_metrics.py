@@ -472,7 +472,118 @@ class TestEvaluate:
             Prediction("c", PASS, 1.0, 1.5)
 
 
+class TestPrediction:
+    def test_positional_and_keyword_construction_agree(self):
+        by_position = Prediction("c", PASS, 1.5, 0.25, True)
+        by_keyword = Prediction(
+            clip_id="c", label=PASS, time_s=1.5, confidence=0.25, time_clamped=True
+        )
+        assert by_position == by_keyword
+        assert hash(by_position) == hash(by_keyword)
+        assert len({by_position, by_keyword}) == 1
+        assert (by_position.clip_id, by_position.label) == ("c", PASS)
+        assert (by_position.time_s, by_position.confidence) == (1.5, 0.25)
+        assert by_position.time_clamped is True
+
+    def test_time_clamped_defaults_to_false(self):
+        assert Prediction("c", PASS, 1.0, 0.5).time_clamped is False
+        assert Prediction(clip_id="c", label=PASS, time_s=1.0, confidence=0.5).time_clamped is False
+
+    def test_unpacks_and_compares_as_a_five_tuple(self):
+        p = Prediction("c", SHOT, 2.0, 0.75)
+        clip_id, label, time_s, confidence, clamped = p
+        assert (clip_id, label, time_s, confidence, clamped) == ("c", SHOT, 2.0, 0.75, False)
+        assert p == ("c", SHOT, 2.0, 0.75, False)
+        assert hash(p) == hash(("c", SHOT, 2.0, 0.75, False))
+        assert p != Prediction("c", SHOT, 2.0, 0.75, True)
+
+    @pytest.mark.parametrize(
+        "time_s, confidence, message",
+        [
+            (-0.1, 0.5, "prediction time -0.1 must be finite and >= 0"),
+            (math.nan, 0.5, "prediction time nan must be finite and >= 0"),
+            (math.inf, 0.5, "prediction time inf must be finite and >= 0"),
+            (1.0, 1.5, "confidence 1.5 outside [0, 1]"),
+            (1.0, -0.5, "confidence -0.5 outside [0, 1]"),
+            (1.0, math.nan, "confidence nan outside [0, 1]"),
+        ],
+    )
+    def test_validation_messages(self, time_s, confidence, message):
+        with pytest.raises(MetricError) as info:
+            Prediction("c", PASS, time_s, confidence)
+        assert str(info.value) == message
+        with pytest.raises(MetricError) as info:
+            Prediction(clip_id="c", label=PASS, time_s=time_s, confidence=confidence)
+        assert str(info.value) == message
+
+    def test_replace_is_validated(self):
+        p = Prediction("c", PASS, 1.0, 0.5)
+        assert p._replace(confidence=0.25) == Prediction("c", PASS, 1.0, 0.25)
+        with pytest.raises(MetricError, match="confidence 2.0 outside"):
+            p._replace(confidence=2.0)
+
+    @pytest.mark.parametrize(
+        "field", ["clip_id", "label", "time_s", "confidence", "time_clamped"]
+    )
+    def test_immutable(self, field):
+        p = Prediction("c", PASS, 1.0, 0.5)
+        with pytest.raises(AttributeError):
+            setattr(p, field, getattr(p, field))
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        with pytest.raises(TypeError):
+            p[0] = "d"
+
+
+#: Few distinct values, so that confidences, times and clip ids tie often.
+_TIED_CONFIDENCES = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])
+_TIED_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, 4.0, 5.0])
+
+
+@st.composite
+def tied_instances(draw):
+    """Clips with zero to two ground truths per class and dense tied predictions.
+
+    Each clip gets a q x C block of predictions: every slot emits every
+    drawn class, so many predictions of one (clip, class) group share the
+    same one or two ground truths.
+    """
+    labels = [PASS, SHOT, ActionClass.DRIVE]
+    clips, preds = [], []
+    for k in range(draw(st.integers(1, 4))):
+        gt = [
+            (label, draw(st.sampled_from([0, 500, 1_000, 2_500, 4_999])))
+            for label in labels
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        gt.sort(key=lambda pair: pair[1])
+        clip = make_clip(gt, clip_seq=k)
+        clips.append(clip)
+        for _ in range(draw(st.integers(0, 6))):  # slots
+            time_s = draw(_TIED_TIMES)
+            for label in labels:
+                preds.append(pred(clip, label, time_s, draw(_TIED_CONFIDENCES)))
+    order = draw(st.permutations(range(len(preds))))
+    return clips, [preds[i] for i in order]
+
+
 class TestNaiveEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(tied_instances(), st.sampled_from([(1.0,), (2.0, math.inf), (1.0, 3.0, 5.0)]))
+    def test_tied_dense_groups_against_reference(self, instance, deltas):
+        clips, preds = instance
+        report = evaluate(clips, preds, deltas=deltas)
+        aps, maps, avg = naive_evaluate(clips, preds, deltas, RETAINED_CLASSES)
+        for delta in deltas:
+            for label in RETAINED_CLASSES:
+                got = report.scores[delta][label].ap
+                if aps[delta][label] is None:
+                    assert got is None
+                else:
+                    assert got == pytest.approx(aps[delta][label], abs=1e-9)
+            assert report.map_at[delta] == pytest.approx(maps[delta], abs=1e-9)
+        assert report.average == pytest.approx(avg, abs=1e-9)
+
     def random_instance(self, rng):
         labels = [PASS, SHOT, ActionClass.DRIVE]
         clips = []
