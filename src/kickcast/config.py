@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 #: Number of action classes scored by the benchmark.
 NUM_CLASSES = 10
+#: Largest slot count a config accepts: 4x the paper's 16 slots for a 10 s window.
+#: Target, loss and decoding work grow with it for every clip.
+MAX_QUERIES = 64
 
 
 def default_query_count(anticipation_s: float) -> int:
@@ -19,9 +23,10 @@ class BenchConfig:
     """Knobs of the benchmark protocol.
 
     ``queries`` defaults to :func:`default_query_count` for the chosen
-    anticipation window. ``context_frames`` is derived: the number of frame
-    instants ``k / fps`` falling inside ``[0, context_s)`` (32 at the default
-    5 s / 6.25 fps).
+    anticipation window and may be at most :data:`MAX_QUERIES`, checked here,
+    before any game is tiled. ``context_frames`` is derived: the number of
+    frame instants ``k / fps`` falling inside ``[0, context_s)`` (32 at the
+    default 5 s / 6.25 fps).
     """
 
     context_s: float = 5.0
@@ -36,14 +41,15 @@ class BenchConfig:
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self) -> None:
-        # Int fields take an int, float fields an int or a finite float; never a bool.
+        # Int fields take an int; float fields an int or a float, finite and
+        # within float range (ints compare exactly, so 10**400 fails); never a bool.
         for field in fields(self):
             value = getattr(self, field.name)
             number = field.type == "float"
             if not isinstance(value, (int, float) if number else int) or isinstance(value, bool):
                 what = "a number" if number else "an integer"
                 raise ValueError(f"{field.name} must be {what}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            if number and not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         # Tiling works in whole milliseconds and decoding in seconds, so the two
         # agree only when the seconds are a whole number of milliseconds.
@@ -65,8 +71,8 @@ class BenchConfig:
             raise ValueError(f"num_classes must be {NUM_CLASSES}, got {self.num_classes!r}")
         if self.queries == 0:
             object.__setattr__(self, "queries", default_query_count(self.anticipation_s))
-        if self.queries < 1:
-            raise ValueError("queries must be at least 1")
+        if not 1 <= self.queries <= MAX_QUERIES:
+            raise ValueError(f"queries must be from 1 to {MAX_QUERIES}, got {self.queries!r}")
 
     @property
     def context_frames(self) -> int:

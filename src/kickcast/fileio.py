@@ -8,7 +8,9 @@ byte-identical files no matter how the records were generated.
 Every record list is read through :func:`_read_records`: a bad record ends
 the read with one :class:`FileFormatError` naming the file and the record,
 and integer, boolean and string fields must have exactly that JSON type, as
-in the schemas (``int()`` would take ``5.9``, ``"1"`` or ``true``).
+in the schemas (``int()`` would take ``5.9``, ``"1"`` or ``true``).  Number
+fields take a JSON int or float that fits in a float, never a boolean or a
+string (``float()`` would take ``"2.5"`` and ``true``).
 
 Formats (all version 1):
 
@@ -134,20 +136,34 @@ def _encode_list(items: list | tuple, depth: int) -> str:
     return f"[{newline}{body}{close}]"
 
 
+@functools.lru_cache(maxsize=1024)  # a document has few key sets; exceptions are not cached
+def _layout(keys: tuple, depth: int) -> tuple[tuple[tuple[Any, str], ...], str]:
+    """((key, text before its value), ...) in sorted key order, and the closing text.
+
+    ``keys`` are a dict's keys in insertion order; only ``str`` keys are allowed.
+    """
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    newline, sep = _breaks(depth + 1)
+    heads = tuple(
+        (key, f"{sep if i else newline}{_encode_str(key)}: ") for i, key in enumerate(sorted(keys))
+    )
+    return heads, _breaks(depth)[0] + "}"
+
+
 def _encode_dict(obj: dict, depth: int) -> str:
     if not obj:
         return "{}"
-    close = _breaks(depth)[0]
-    newline, sep = _breaks(depth + 1)
-    parts = []
-    for key in sorted(obj):
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    heads, close = _layout(tuple(obj), depth)
+    parts = ["{"]
+    for key, head in heads:
         value = obj[key]
         scalar = _SCALARS.get(type(value))
-        text = scalar(value) if scalar is not None else _encode(value, depth + 1)
-        parts.append(f"{_encode_str(key)}: {text}")
-    return f"{{{newline}{sep.join(parts)}{close}}}"
+        parts.append(head)
+        parts.append(scalar(value) if scalar is not None else _encode(value, depth + 1))
+    parts.append(close)
+    return "".join(parts)
 
 
 def dump_json(doc: Any) -> str:
@@ -157,7 +173,8 @@ def dump_json(doc: Any) -> str:
     allow_nan=False) + "\\n"`` for documents with string keys, which would run
     CPython's pure-Python encoder (any ``indent`` turns its C encoder off).  A
     run of one object, such as a targets clip's shared unpaired slot, is
-    encoded once (see :func:`targets_to_doc`).
+    encoded once (see :func:`targets_to_doc`), and the sorted keys of a dict
+    and the text before each value are laid out once per key set and depth.
     """
     return _encode(doc, 0) + "\n"
 
@@ -222,6 +239,18 @@ def _exact(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
         what = {bool: "a boolean", int: "an integer", str: "a string"}[kind]
         raise TypeError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def _number(value: Any, name: str) -> float:
+    """``value`` as a float, if it is a JSON number (not a boolean) that fits in one."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 def iter_annotation_files(paths: Sequence[str | Path]) -> Iterator[Path]:
@@ -372,11 +401,11 @@ def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> No
 
 
 def _prediction(rec: dict) -> Prediction:
+    time_s, confidence = rec["time_s"], rec["confidence"]
+    if type(time_s) is not float or type(confidence) is not float:  # inline: the common case
+        time_s, confidence = _number(time_s, "time_s"), _number(confidence, "confidence")
     return Prediction(
-        _exact(rec["clip_id"], str, "clip_id"),
-        parse_label(rec["label"]),
-        float(rec["time_s"]),
-        float(rec["confidence"]),
+        _exact(rec["clip_id"], str, "clip_id"), parse_label(rec["label"]), time_s, confidence
     )
 
 
@@ -446,9 +475,9 @@ _LossEntry = tuple[str, list[SlotOutput], Assignment, tuple[list[list[float]], S
 def _loss_clip(rec: dict) -> _LossEntry:
     outputs = [
         SlotOutput(
-            actionness=float(o["actionness"]),
-            class_probs=tuple(float(p) for p in o["class_probs"]),
-            time_raw=float(o["time_raw"]),
+            actionness=_number(o["actionness"], "actionness"),
+            class_probs=tuple(_number(p, "class_probs") for p in o["class_probs"]),
+            time_raw=_number(o["time_raw"], "time_raw"),
         )
         for o in rec["outputs"]
     ]
@@ -460,10 +489,10 @@ def _loss_clip(rec: dict) -> _LossEntry:
         slots.append(
             SlotTarget(
                 gt_index=_exact(s["gt_index"], int, "gt_index", nullable=True),
-                actionness=None if actionness is None else float(actionness),
+                actionness=None if actionness is None else _number(actionness, "actionness"),
                 class_index=_exact(s["class_index"], int, "class_index", nullable=True),
                 class_multihot=hot,
-                time=None if time is None else float(time),
+                time=None if time is None else _number(time, "time"),
             )
         )
     assignment = Assignment(
@@ -474,7 +503,9 @@ def _loss_clip(rec: dict) -> _LossEntry:
     seg = None
     seg_doc = rec.get("segmentation")
     if seg_doc is not None:
-        frame_dists = [[float(p) for p in dist] for dist in seg_doc["frame_dists"]]
+        frame_dists = [
+            [_number(p, "frame_dists") for p in dist] for dist in seg_doc["frame_dists"]
+        ]
         seg = (frame_dists, SegGrid(tuple(_exact(v, int, "labels") for v in seg_doc["labels"])))
     return _exact(rec.get("id"), str, "id", nullable=True), outputs, assignment, seg
 

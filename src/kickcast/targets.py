@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .annotations import CLASS_INDEX
-from .config import BenchConfig
+from .config import NUM_CLASSES, BenchConfig
 from .timecodec import decode_time
 from .windowing import GtAction
 
@@ -64,32 +64,6 @@ class Pairing(enum.Enum):
 
 
 @dataclass(frozen=True)
-class HeadSpec:
-    """What a head variant means, for target assignment and decoding alike."""
-
-    pairing: Pairing
-    sentinel: bool = False  # class index C (end-of-sequence / background) exists
-    eos: bool = False  # only the first unpaired slot is supervised; it ends decoding
-    multihot: bool = False  # independent sigmoids instead of a softmax
-
-    @property
-    def needs_outputs(self) -> bool:
-        """Pairing depends on the model's current outputs, so cannot be precomputed."""
-        return self.pairing in (Pairing.HUNGARIAN_TIME, Pairing.HUNGARIAN_CLASS)
-
-
-HEADS: dict[HeadVariant, HeadSpec] = {
-    HeadVariant.Q_ACT: HeadSpec(Pairing.SEQUENTIAL),
-    HeadVariant.Q_EOS: HeadSpec(Pairing.SEQUENTIAL, sentinel=True, eos=True),
-    HeadVariant.Q_BCKG: HeadSpec(Pairing.SEQUENTIAL, sentinel=True),
-    HeadVariant.Q_BCE: HeadSpec(Pairing.SEQUENTIAL, multihot=True),
-    HeadVariant.Q_HUNG_TIME: HeadSpec(Pairing.HUNGARIAN_TIME),
-    HeadVariant.Q_HUNG_CLASS: HeadSpec(Pairing.HUNGARIAN_CLASS),
-    HeadVariant.ANCHORS: HeadSpec(Pairing.ANCHOR_BINS),
-}
-
-
-@dataclass(frozen=True)
 class SlotTarget:
     """Supervision for one slot.
 
@@ -111,6 +85,53 @@ class SlotTarget:
 BLANK = SlotTarget(gt_index=None, actionness=0.0)
 #: Slot carrying no supervision whatsoever (q-eos beyond the EoS slot).
 UNCONSTRAINED = SlotTarget(gt_index=None, actionness=None)
+#: Multi-hot class vector of each class, shared by every q-bce slot of that class.
+ONE_HOT: tuple[tuple[int, ...], ...] = tuple(
+    tuple(int(j == c) for j in range(NUM_CLASSES)) for c in range(NUM_CLASSES)
+)
+
+
+@dataclass(frozen=True)
+class HeadSpec:
+    """What a head variant means, for target assignment and decoding alike.
+
+    ``unpaired`` is the target of a slot left without an action (for ``eos``
+    heads, the end-of-sequence slot).  It is built once per head and shared
+    by every clip: :class:`BenchConfig` pins the class count.
+    """
+
+    pairing: Pairing
+    sentinel: bool = False  # class index C (end-of-sequence / background) exists
+    eos: bool = False  # only the first unpaired slot is supervised; it ends decoding
+    multihot: bool = False  # independent sigmoids instead of a softmax
+    unpaired: SlotTarget = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Sequential pairing fills slots 0..n-1, which puts the EoS slot at n.
+        if self.eos and self.pairing is not Pairing.SEQUENTIAL:
+            raise ValueError("an end-of-sequence head needs sequential pairing")
+        unpaired = BLANK
+        if self.sentinel:
+            unpaired = SlotTarget(gt_index=None, actionness=0.0, class_index=NUM_CLASSES)
+        elif self.multihot:
+            unpaired = SlotTarget(gt_index=None, actionness=0.0, class_multihot=(0,) * NUM_CLASSES)
+        object.__setattr__(self, "unpaired", unpaired)
+
+    @property
+    def needs_outputs(self) -> bool:
+        """Pairing depends on the model's current outputs, so cannot be precomputed."""
+        return self.pairing in (Pairing.HUNGARIAN_TIME, Pairing.HUNGARIAN_CLASS)
+
+
+HEADS: dict[HeadVariant, HeadSpec] = {
+    HeadVariant.Q_ACT: HeadSpec(Pairing.SEQUENTIAL),
+    HeadVariant.Q_EOS: HeadSpec(Pairing.SEQUENTIAL, sentinel=True, eos=True),
+    HeadVariant.Q_BCKG: HeadSpec(Pairing.SEQUENTIAL, sentinel=True),
+    HeadVariant.Q_BCE: HeadSpec(Pairing.SEQUENTIAL, multihot=True),
+    HeadVariant.Q_HUNG_TIME: HeadSpec(Pairing.HUNGARIAN_TIME),
+    HeadVariant.Q_HUNG_CLASS: HeadSpec(Pairing.HUNGARIAN_CLASS),
+    HeadVariant.ANCHORS: HeadSpec(Pairing.ANCHOR_BINS),
+}
 
 
 @dataclass(frozen=True)
@@ -301,7 +322,6 @@ def assign_for_variant(
     ta_ms = cfg.anticipation_ms
     _check_gt(gt, ta_ms)
     q = cfg.queries
-    n_classes = cfg.num_classes
     if spec.needs_outputs:
         if outputs is None:
             raise TargetError(f"{variant.value} pairing needs model outputs")
@@ -309,26 +329,21 @@ def assign_for_variant(
             raise TargetError(f"expected {q} slot outputs, got {len(outputs)}")
     pairs = _pairs(spec, gt, cfg, outputs)
 
-    unpaired = BLANK
-    if spec.sentinel:
-        unpaired = SlotTarget(gt_index=None, actionness=0.0, class_index=n_classes)
-    elif spec.multihot:
-        unpaired = SlotTarget(gt_index=None, actionness=0.0, class_multihot=(0,) * n_classes)
-    slots = [unpaired] * q
+    slots = [spec.unpaired] * q
     # Time target (t - slot start) / slot span in integer ms: in-bin for anchors.
     scale, step = (q, ta_ms) if spec.pairing is Pairing.ANCHOR_BINS else (1, 0)
+    multihot = spec.multihot
     for i, k in pairs:
         action = gt[k]
         c = _class_idx(action)
-        hot = tuple(int(j == c) for j in range(n_classes)) if spec.multihot else None
         slots[i] = SlotTarget(
             gt_index=k,
             actionness=1.0,
-            class_index=None if spec.multihot else c,
-            class_multihot=hot,
+            class_index=None if multihot else c,
+            class_multihot=ONE_HOT[c] if multihot else None,
             time=(action.offset_ms * scale - i * step) / ta_ms,
         )
     if spec.eos:
-        first = next((i for i, s in enumerate(slots) if s.gt_index is None), q)
-        slots[first + 1 :] = [UNCONSTRAINED] * (q - first - 1)
+        # Slot len(pairs) is the EoS slot (see HeadSpec); none after it is supervised.
+        slots[len(pairs) + 1 :] = [UNCONSTRAINED] * (q - len(pairs) - 1)
     return Assignment(variant, tuple(slots), truncated=len(pairs) < len(gt))

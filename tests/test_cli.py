@@ -8,7 +8,9 @@ import shutil
 
 import pytest
 
+import kickcast.cli as cli
 from kickcast.cli import main
+from kickcast.config import MAX_QUERIES
 from kickcast.fileio import read_eval_clips, read_predictions
 
 from conftest import FIXTURE_DIR, loss_check_doc
@@ -562,6 +564,50 @@ class TestBadInput:
         self.assert_one_error_line(code, err)
         assert err.count(f"{bad}: prediction #0: ") == 1
         assert "clip_id must be a string" in err
+
+    @pytest.mark.parametrize("key", ["time_s", "confidence"])
+    def test_huge_integer_prediction_field(self, tmp_path, capsys, clips_file, oracle_file, key):
+        doc = json.loads(oracle_file.read_text())
+        doc["predictions"][3][key] = 10**400  # "1" and 400 zeros: no float holds it
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["evaluate", "--gt", str(clips_file), "--pred", str(bad)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err.count(f"{bad}: prediction #3: ") == 1
+        assert f"{key} is an integer too large for a float" in err
+
+    @pytest.mark.parametrize("key", ["actionness", "class_probs", "time_raw", "slot actionness"])
+    def test_huge_integer_loss_check_field(self, tmp_path, capsys, key):
+        doc = loss_check_doc()
+        clip = doc["clips"][0]
+        if key == "class_probs":
+            clip["outputs"][0] = {**clip["outputs"][0], key: [10**400] + [0.1] * 9}
+        elif key == "slot actionness":
+            clip["slots"][0] = {**clip["slots"][0], "actionness": 10**400}
+        else:
+            clip["outputs"][0] = {**clip["outputs"][0], key: 10**400}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["loss-check", str(bad)], capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert err.count(f"{bad}: clip #0: ") == 1
+        assert f"{key.split()[-1]} is an integer too large for a float" in err
+
+    @pytest.mark.parametrize("queries", [MAX_QUERIES + 1, 100_000_000])
+    def test_queries_bound_checked_before_any_game_is_read(
+        self, tmp_path, capsys, monkeypatch, queries
+    ):
+        def unreachable(*args):
+            raise AssertionError("the corpus was read before the config was checked")
+
+        monkeypatch.setattr(cli, "_load_corpus", unreachable)
+        out = tmp_path / "t.json"
+        argv = ["targets", str(FIXTURE_DIR), "--variant", "q-act", "--queries", str(queries)]
+        code, _, err = run([*argv, "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert f"queries must be from 1 to {MAX_QUERIES}, got {queries}" in err
+        assert not out.exists()
 
     def test_directory_named_like_annotation_file(self, tmp_path, capsys):
         ann = tmp_path / "ann"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import random
@@ -16,7 +17,7 @@ from referencing import Registry, Resource
 import kickcast.fileio as fileio
 from kickcast.annotations import ActionClass, serialize_annotations
 from kickcast.baselines import BaselineSpec, oracle_predictor
-from kickcast.config import BenchConfig
+from kickcast.config import MAX_QUERIES, BenchConfig
 from kickcast.fileio import (
     FORMAT_EVAL_CLIPS,
     FileFormatError,
@@ -156,6 +157,41 @@ class TestCanonicalJson:
         with pytest.raises(TypeError):
             dump_json({1: "one"})
 
+    def test_non_string_key_rejected_after_an_equal_layout(self):
+        # Layouts are cached by key tuple, and (1,), (True,) and (1.0,) are
+        # equal tuples; a rejected key set is never cached, so it raises each time.
+        for _ in range(2):
+            assert dump_json({"1": "one"}) == oracle_dump({"1": "one"})
+            with pytest.raises(TypeError, match="keys must be str"):
+                dump_json({1: "one"})
+            with pytest.raises(TypeError, match="keys must be str"):
+                dump_json({True: "one"})
+            with pytest.raises(TypeError, match="keys must be str"):
+                dump_json({"a": {1.0: "one"}})
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True),
+        st.randoms(use_true_random=False),
+        st.lists(JSON_SCALARS, min_size=8, max_size=8),
+    )
+    def test_one_key_set_at_several_depths(self, keys, rng, leaves):
+        # One key set, inserted in a fresh order at every depth, so the encoder
+        # meets the same keys at several depths and in several orders.
+        values = itertools.cycle(leaves)
+
+        def node(depth):
+            # The first key in insertion order holds the next depth (inside a
+            # list at odd depths); the others hold scalars.
+            child = node(depth + 1) if depth < 4 else next(values)
+            if depth % 2:
+                child = [child]
+            order = rng.sample(keys, len(keys))
+            return {k: child if i == 0 else next(values) for i, k in enumerate(order)}
+
+        doc = [node(0), {"wrap": node(1)}, node(0)]
+        assert dump_json(doc) == oracle_dump(doc)
+
     def test_repeated_objects(self):
         # The encoder reuses the text of a run of one object; the same object
         # at another depth, or after a different item, must be encoded anew.
@@ -223,6 +259,8 @@ class TestConfigCodec:
             ("anticipation_s", 5.0004),
             ("context_s", 2.00005),
             ("queries", -1),
+            ("queries", MAX_QUERIES + 1),
+            ("queries", 100_000_000),
         ],
     )
     def test_bad_value_rejected(self, field, value):
@@ -232,6 +270,10 @@ class TestConfigCodec:
     def test_huge_integer_rejected(self):
         with pytest.raises(FileFormatError, match="bad config"):
             config_from_doc({**config_to_doc(CFG), "context_s": 10**400})
+
+    def test_queries_up_to_the_bound_accepted(self):
+        cfg = config_from_doc({**config_to_doc(CFG), "queries": MAX_QUERIES})
+        assert cfg.queries == MAX_QUERIES
 
 
 class TestEvalClipsFile:
@@ -587,6 +629,28 @@ def admitted_types(schema):
     return {JSON_TYPES[type(v)] for v in schema["enum"]}
 
 
+def number_fields(doc, root, registry):
+    """Path of one value at each place the schema types ``number``, keyed by its schema path.
+
+    Only the first item of each list is visited: the items of a list share a schema.
+    """
+    found = {}
+
+    def visit(value, path, where):
+        schema, _ = schema_at(root, registry, where)
+        types = schema.get("type", ())
+        if "number" in ((types,) if isinstance(types, str) else types):
+            found[where] = path
+        if isinstance(value, dict):
+            for key, child in value.items():
+                visit(child, (*path, key), (*where, key))
+        elif isinstance(value, list) and value:
+            visit(value[0], (*path, 0), (*where, "*"))
+
+    visit(doc, (), ())
+    return found
+
+
 @pytest.fixture(scope="module")
 def full_loss_check_doc(corpus):
     """A loss-check document that sets every field the reader knows."""
@@ -675,6 +739,39 @@ class TestSchemas:
                     assert types <= {"array", "null"}, field
                     types = admitted_types(prop["items"])
                 assert types == want, (field, types)
+
+    @pytest.mark.parametrize("bad", [True, "1", 10**400], ids=["true", "string", "huge-int"])
+    @pytest.mark.parametrize("name", ["eval-clips", "predictions", "loss-check"])
+    def test_number_fields_take_only_numbers_that_fit_a_float(
+        self, name, bad, schema_registry, eval_clips, some_predictions, full_loss_check_doc,
+        tmp_path,
+    ):
+        doc, read = {
+            "eval-clips": (eval_clips_to_doc(eval_clips, CFG), read_eval_clips),
+            "predictions": (predictions_to_doc(some_predictions), read_predictions),
+            "loss-check": (full_loss_check_doc, read_loss_check),
+        }[name]
+        root = json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
+        fields = number_fields(doc, root, schema_registry)
+        config = {"context_s", "anticipation_s", "fps"} | {f for f in CFG.__dict__ if "lambda" in f}
+        expected = {
+            "eval-clips": config,
+            "predictions": {"time_s", "confidence"},
+            "loss-check": config
+            | {"weights", "actionness", "class_probs", "time_raw", "time", "frame_dists"},
+        }[name]
+        names = {next(step for step in reversed(where) if step != "*") for where in fields}
+        assert names == expected
+        path = tmp_path / "doc.json"
+        for where, at in fields.items():
+            broken = json.loads(json.dumps(doc))
+            parent = broken
+            for step in at[:-1]:
+                parent = parent[step]
+            parent[at[-1]] = bad
+            path.write_text(json.dumps(broken))
+            with pytest.raises(FileFormatError):
+                read(path)
 
     def test_all_schemas_are_valid(self, schema_registry):
         for path in sorted(SCHEMA_DIR.glob("*.schema.json")):

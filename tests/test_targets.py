@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickcast.annotations import ActionClass, CLASS_INDEX
+import kickcast.cli as cli
 from kickcast.cli import main
 from kickcast.config import BenchConfig
 from kickcast.losses import SlotOutput
@@ -406,3 +407,35 @@ class TestHeadTable:
         argv = ["targets", str(FIXTURE_DIR), "--variant", variant.value, "--split", "train"]
         code = main([*argv, "--out", str(tmp_path / "targets.json")])
         assert code == (2 if HEADS[variant].needs_outputs else 0)
+
+
+class TestSharedSlotObjects:
+    def test_one_unpaired_slot_per_head_and_one_vector_per_class(self, tmp_path, monkeypatch):
+        # The unpaired slot and the q-bce multi-hot vectors are built once, not
+        # per clip; checked over the assignments one `targets` run writes.
+        written = {}
+
+        def capture(path, records, cfg, variant):
+            written[variant] = records
+
+        monkeypatch.setattr(cli, "write_targets", capture)
+        for variant in (HeadVariant.Q_BCKG, HeadVariant.Q_EOS, HeadVariant.Q_BCE):
+            argv = ["targets", str(FIXTURE_DIR), "--variant", variant.value, "--split", "train"]
+            assert main([*argv, "--out", str(tmp_path / "targets.json")]) == 0
+            # UNCONSTRAINED (q-eos after its EoS slot) carries no actionness.
+            unpaired = {
+                (clip_id, id(slot))
+                for clip_id, assignment in written[variant]
+                for slot in assignment.slots
+                if slot.gt_index is None and slot.actionness is not None
+            }
+            assert len({clip_id for clip_id, _ in unpaired}) > 1000
+            assert len({slot for _, slot in unpaired}) == 1, variant
+        vectors: dict[int, set[int]] = {}
+        for _, assignment in written[HeadVariant.Q_BCE]:
+            for slot in assignment.slots:
+                if slot.gt_index is not None:
+                    hot = slot.class_multihot
+                    vectors.setdefault(hot.index(1), set()).add(id(hot))
+        assert len(vectors) > 1
+        assert all(len(ids) == 1 for ids in vectors.values())
