@@ -34,10 +34,12 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .config import NUM_CLASSES
+from .jsonio import exact, read_json, write_text
 
 SPLITS = ("train", "valid", "test", "challenge")
 
-_GAME_TIME_RE = re.compile(r"^\s*(\d+)\s*-\s*(\d+):([0-5]\d)(?:\.(\d{1,3}))?\s*$")
+# ASCII digits only, as in the schema (``\d`` would also take other scripts' digits).
+_GAME_TIME_RE = re.compile(r"^\s*([12])\s*-\s*([0-9]+):([0-5][0-9])(?:\.([0-9]{1,3}))?\s*$")
 
 
 class AnnotationError(ValueError):
@@ -151,27 +153,20 @@ def _parse_game_time(raw: str) -> tuple[int, int]:
 
 
 def _parse_position(raw: object) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise AnnotationError(f"position must be an integer or string, got {raw!r}")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise AnnotationError(f"malformed position {raw!r}") from None
-    if value < 0:
-        raise AnnotationError(f"negative position {value}")
-    return value
+    # int() would also take signs, spaces, underscores and other scripts' digits.
+    if (type(raw) is str and raw.isascii() and raw.isdigit()) or (type(raw) is int and raw >= 0):
+        return int(raw)
+    raise AnnotationError(f"position must be a non-negative integer or digit string, got {raw!r}")
 
 
-def _parse_record(record: object, game_id: str) -> ActionInstance:
+def _parse_record(record: object, game_id: str, durations: Mapping[int, int]) -> ActionInstance:
     if not isinstance(record, dict):
         raise AnnotationError(f"annotation record must be an object, got {type(record).__name__}")
     try:
-        game_time = record["gameTime"]
-        label_raw = record["label"]
+        game_time = exact(record["gameTime"], str, "gameTime")
+        label = parse_label(exact(record["label"], str, "label"))
     except KeyError as exc:
         raise AnnotationError(f"missing field {exc.args[0]!r}") from None
-    if not isinstance(game_time, str):
-        raise AnnotationError(f"gameTime must be a string, got {game_time!r}")
     half, gametime_ms = _parse_game_time(game_time)
     if "position" in record:
         time_ms = _parse_position(record["position"])
@@ -181,9 +176,10 @@ def _parse_record(record: object, game_id: str) -> ActionInstance:
             )
     else:
         time_ms = gametime_ms
-    if not isinstance(label_raw, str):
-        raise AnnotationError(f"label must be a string, got {label_raw!r}")
-    return ActionInstance(half=half, time_ms=time_ms, label=parse_label(label_raw), game_id=game_id)
+    duration = durations.get(half)
+    if duration is not None and time_ms > duration:
+        raise AnnotationError(f"time {time_ms} ms exceeds half {half} duration {duration} ms")
+    return ActionInstance(half=half, time_ms=time_ms, label=label, game_id=game_id)
 
 
 def _parse_durations(raw: object) -> dict[int, int]:
@@ -191,15 +187,11 @@ def _parse_durations(raw: object) -> dict[int, int]:
         raise AnnotationError("halfDurationsMs must be an object keyed by half")
     durations: dict[int, int] = {}
     for key, value in raw.items():
-        try:
-            half = int(key)
-        except (TypeError, ValueError):
-            raise AnnotationError(f"bad half key {key!r} in halfDurationsMs") from None
-        if half not in (1, 2):
-            raise AnnotationError(f"half key must be 1 or 2, got {key!r}")
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise AnnotationError(f"half duration must be a non-negative integer, got {value!r}")
-        durations[half] = value
+        if key not in ("1", "2"):
+            raise AnnotationError(f"half key must be \"1\" or \"2\", got {key!r}")
+        if exact(value, int, "half duration") < 0:
+            raise AnnotationError(f"half duration must be non-negative, got {value!r}")
+        durations[int(key)] = value
     return durations
 
 
@@ -207,28 +199,24 @@ def parse_annotations_dict(doc: object, *, default_game_id: str = "game") -> Gam
     """Parse an already-loaded annotation document into a :class:`GameAnnotations`."""
     if not isinstance(doc, dict):
         raise AnnotationError("annotation document must be a JSON object")
-    game_id = doc.get("gameId", default_game_id)
-    if not isinstance(game_id, str) or not game_id:
+    try:
+        game_id = exact(doc.get("gameId", default_game_id), str, "gameId")
+        durations = _parse_durations(doc["halfDurationsMs"]) if "halfDurationsMs" in doc else {}
+    except TypeError as exc:
+        raise AnnotationError(str(exc)) from None
+    if not game_id:
         raise AnnotationError(f"gameId must be a non-empty string, got {game_id!r}")
     split = doc.get("split", "test")
     records = doc.get("annotations")
     if not isinstance(records, list):
         raise AnnotationError("document must carry an 'annotations' array")
-    durations = _parse_durations(doc["halfDurationsMs"]) if "halfDurationsMs" in doc else {}
 
-    actions = []
-    for i, record in enumerate(records):
-        try:
-            action = _parse_record(record, game_id)
-        except AnnotationError as exc:
-            raise AnnotationError(f"annotation #{i}: {exc}") from None
-        duration = durations.get(action.half)
-        if duration is not None and action.time_ms > duration:
-            raise AnnotationError(
-                f"annotation #{i}: time {action.time_ms} ms exceeds half {action.half} "
-                f"duration {duration} ms"
-            )
-        actions.append(action)
+    actions: list[ActionInstance] = []
+    try:
+        for record in records:
+            actions.append(_parse_record(record, game_id, durations))
+    except (TypeError, ValueError) as exc:  # ValueError: int()'s digit limit too
+        raise AnnotationError(f"annotation #{len(actions)}: {exc}") from None
     actions.sort(key=lambda a: a.sort_key)
     return GameAnnotations(
         game_id=game_id, split=split, half_durations_ms=durations, actions=tuple(actions)
@@ -236,20 +224,12 @@ def parse_annotations_dict(doc: object, *, default_game_id: str = "game") -> Gam
 
 
 def parse_annotations(path: str | Path) -> GameAnnotations:
-    """Load, validate, and canonicalize one game's annotation file."""
-    path = Path(path)
+    """Load, validate, and canonicalize one game's annotation file; errors name the file."""
+    doc = read_json(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise AnnotationError(f"{path.name}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise AnnotationError(f"{path.name}: not valid UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(f"{path.name}: invalid JSON: {exc}") from None
-    try:
-        return parse_annotations_dict(doc, default_game_id=path.stem)
+        return parse_annotations_dict(doc, default_game_id=Path(path).stem)
     except AnnotationError as exc:
-        raise AnnotationError(f"{path.name}: {exc}") from None
+        raise AnnotationError(f"{path}: {exc}") from None
 
 
 def serialize_annotations(game: GameAnnotations) -> dict:
@@ -277,7 +257,7 @@ def format_game_time(half: int, time_ms: int) -> str:
 
 
 def write_annotations(game: GameAnnotations, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(serialize_annotations(game), indent=2) + "\n")
+    write_text(path, json.dumps(serialize_annotations(game), indent=2) + "\n")
 
 
 def filter_classes(game: GameAnnotations) -> GameAnnotations:

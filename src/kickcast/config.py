@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
+
+from .jsonio import exact, number
 
 #: Number of action classes scored by the benchmark.
 NUM_CLASSES = 10
@@ -41,16 +42,16 @@ class BenchConfig:
     num_classes: int = NUM_CLASSES
 
     def __post_init__(self) -> None:
-        # Int fields take an int; float fields an int or a float, finite and
-        # within float range (ints compare exactly, so 10**400 fails); never a bool.
+        # Int fields take an int, float fields a finite int or float, kept as given.
         for field in fields(self):
             value = getattr(self, field.name)
-            number = field.type == "float"
-            if not isinstance(value, (int, float) if number else int) or isinstance(value, bool):
-                what = "a number" if number else "an integer"
-                raise ValueError(f"{field.name} must be {what}, got {value!r}")
-            if number and not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
+            try:
+                if field.type != "float":
+                    exact(value, int, field.name)
+                elif not math.isfinite(number(value, field.name)):
+                    raise ValueError(f"{field.name} must be finite, got {value!r}")
+            except TypeError as exc:
+                raise ValueError(str(exc)) from None
         # Tiling works in whole milliseconds and decoding in seconds, so the two
         # agree only when the seconds are a whole number of milliseconds.
         for name in ("context_s", "anticipation_s"):

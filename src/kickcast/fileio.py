@@ -5,12 +5,8 @@ are written canonically — sorted keys, two-space indent, records in a
 documented sort order, trailing newline — so identical inputs produce
 byte-identical files no matter how the records were generated.
 
-Every record list is read through :func:`_read_records`: a bad record ends
-the read with one :class:`FileFormatError` naming the file and the record,
-and integer, boolean and string fields must have exactly that JSON type, as
-in the schemas (``int()`` would take ``5.9``, ``"1"`` or ``true``).  Number
-fields take a JSON int or float that fits in a float, never a boolean or a
-string (``float()`` would take ``"2.5"`` and ``true``).
+Every record list is read through :func:`_read_records`, its fields with the
+value rules of :mod:`kickcast.jsonio`: a bad record is one FileFormatError naming it.
 
 Formats (all version 1):
 
@@ -37,12 +33,13 @@ import functools
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .annotations import parse_label
 from .config import BenchConfig
+from .jsonio import FileFormatError, exact, number, read_json, write_text
 from .losses import SlotOutput
 from .metrics import EvalReport, Prediction
 from .targets import Assignment, HeadVariant, SlotTarget
@@ -54,10 +51,6 @@ FORMAT_TARGETS = "kickcast-targets"
 FORMAT_LOSS_CHECK = "kickcast-loss-check"
 FORMAT_REPORT = "kickcast-report"
 VERSION = 1
-
-
-class FileFormatError(ValueError):
-    """Raised when a document does not follow its declared format."""
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -179,27 +172,12 @@ def dump_json(doc: Any) -> str:
     return _encode(doc, 0) + "\n"
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write an output file; a path that cannot be written is a FileFormatError."""
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
-
-
 def write_json(path: str | Path, doc: Any) -> None:
     write_text(path, dump_json(doc))
 
 
 def _load(path: str | Path, expected_format: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: expected a JSON object at top level")
     fmt = doc.get("format")
@@ -233,26 +211,6 @@ def _read_records(doc: dict, key: str, path: str | Path, what: str, read: Callab
     return records
 
 
-def _exact(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
-    """``value`` if its JSON type is exactly ``kind`` (or null, if ``nullable``)."""
-    if type(value) is not kind and not (nullable and value is None):
-        what = {bool: "a boolean", int: "an integer", str: "a string"}[kind]
-        raise TypeError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
-def _number(value: Any, name: str) -> float:
-    """``value`` as a float, if it is a JSON number (not a boolean) that fits in one."""
-    if type(value) is float:
-        return value
-    if type(value) is not int:
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is an integer too large for a float") from None
-
-
 def iter_annotation_files(paths: Sequence[str | Path]) -> Iterator[Path]:
     """Expand files and directories (non-recursive ``*.json``) into file paths."""
     for raw in paths:
@@ -280,11 +238,8 @@ def format_delta(delta: float) -> str:
 
 
 def parse_delta(text: str) -> float:
-    lowered = text.strip().lower()
-    if lowered in ("inf", "infinity"):
-        return math.inf
     try:
-        value = float(lowered)
+        value = float(text)  # also "inf" and "infinity", in any case, with surrounding spaces
     except ValueError:
         raise FileFormatError(f"bad tolerance {text!r}") from None
     if not value > 0:
@@ -302,10 +257,20 @@ def config_to_doc(cfg: BenchConfig) -> dict:
 def config_from_doc(doc: Any) -> BenchConfig:
     if not isinstance(doc, dict):
         raise FileFormatError("config must be an object")
+    unknown = sorted(doc.keys() - {f.name for f in fields(BenchConfig)})
+    if unknown:
+        raise FileFormatError(f"bad config: unknown field {unknown[0]!r}")
     try:
         return BenchConfig(**doc)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise FileFormatError(f"bad config: {exc}") from exc
+
+
+def _config(doc: Any, path: str | Path) -> BenchConfig:
+    try:
+        return config_from_doc(doc)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 # --- eval clips -------------------------------------------------------------
@@ -342,19 +307,19 @@ def write_eval_clips(path: str | Path, clips: Iterable[EvalClip], cfg: BenchConf
 
 def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
     clip = EvalClip(
-        game_id=_exact(rec["game_id"], str, "game_id"),
-        half=_exact(rec["half"], int, "half"),
-        context_start_ms=_exact(rec["context_start_ms"], int, "context_start_ms"),
-        context_end_ms=_exact(rec["context_end_ms"], int, "context_end_ms"),
-        anticipation_start_ms=_exact(rec["anticipation_start_ms"], int, "anticipation_start_ms"),
-        anticipation_end_ms=_exact(rec["anticipation_end_ms"], int, "anticipation_end_ms"),
-        partial=_exact(rec["partial"], bool, "partial"),
+        game_id=exact(rec["game_id"], str, "game_id"),
+        half=exact(rec["half"], int, "half"),
+        context_start_ms=exact(rec["context_start_ms"], int, "context_start_ms"),
+        context_end_ms=exact(rec["context_end_ms"], int, "context_end_ms"),
+        anticipation_start_ms=exact(rec["anticipation_start_ms"], int, "anticipation_start_ms"),
+        anticipation_end_ms=exact(rec["anticipation_end_ms"], int, "anticipation_end_ms"),
+        partial=exact(rec["partial"], bool, "partial"),
         gt_actions=tuple(
-            GtAction(parse_label(a["label"]), _exact(a["offset_ms"], int, "offset_ms"))
+            GtAction(parse_label(a["label"]), exact(a["offset_ms"], int, "offset_ms"))
             for a in rec["gt_actions"]
         ),
     )
-    if _exact(rec["clip_id"], str, "clip_id") != clip.clip_id:
+    if exact(rec["clip_id"], str, "clip_id") != clip.clip_id:
         raise ValueError(f"id {rec['clip_id']!r} does not match derived {clip.clip_id!r}")
     window = clip.window_len_ms
     if window <= 0 or (window < ta_ms) != clip.partial:
@@ -369,7 +334,7 @@ def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
 
 def read_eval_clips(path: str | Path) -> tuple[list[EvalClip], BenchConfig]:
     doc = _load(path, FORMAT_EVAL_CLIPS)
-    cfg = config_from_doc(doc.get("config"))
+    cfg = _config(doc.get("config"), path)
     read = functools.partial(_eval_clip, ta_ms=cfg.anticipation_ms)
     return _read_records(doc, "clips", path, "clip", read), cfg
 
@@ -403,9 +368,9 @@ def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> No
 def _prediction(rec: dict) -> Prediction:
     time_s, confidence = rec["time_s"], rec["confidence"]
     if type(time_s) is not float or type(confidence) is not float:  # inline: the common case
-        time_s, confidence = _number(time_s, "time_s"), _number(confidence, "confidence")
+        time_s, confidence = number(time_s, "time_s"), number(confidence, "confidence")
     return Prediction(
-        _exact(rec["clip_id"], str, "clip_id"), parse_label(rec["label"]), time_s, confidence
+        exact(rec["clip_id"], str, "clip_id"), parse_label(rec["label"]), time_s, confidence
     )
 
 
@@ -475,9 +440,9 @@ _LossEntry = tuple[str, list[SlotOutput], Assignment, tuple[list[list[float]], S
 def _loss_clip(rec: dict) -> _LossEntry:
     outputs = [
         SlotOutput(
-            actionness=_number(o["actionness"], "actionness"),
-            class_probs=tuple(_number(p, "class_probs") for p in o["class_probs"]),
-            time_raw=_number(o["time_raw"], "time_raw"),
+            actionness=number(o["actionness"], "actionness"),
+            class_probs=tuple(number(p, "class_probs") for p in o["class_probs"]),
+            time_raw=number(o["time_raw"], "time_raw"),
         )
         for o in rec["outputs"]
     ]
@@ -485,29 +450,29 @@ def _loss_clip(rec: dict) -> _LossEntry:
     for s in rec["slots"]:
         actionness, hot, time = s["actionness"], s["class_multihot"], s["time"]
         if hot is not None:
-            hot = tuple(_exact(v, int, "class_multihot") for v in hot)
+            hot = tuple(exact(v, int, "class_multihot") for v in hot)
         slots.append(
             SlotTarget(
-                gt_index=_exact(s["gt_index"], int, "gt_index", nullable=True),
-                actionness=None if actionness is None else _number(actionness, "actionness"),
-                class_index=_exact(s["class_index"], int, "class_index", nullable=True),
+                gt_index=exact(s["gt_index"], int, "gt_index", nullable=True),
+                actionness=None if actionness is None else number(actionness, "actionness"),
+                class_index=exact(s["class_index"], int, "class_index", nullable=True),
                 class_multihot=hot,
-                time=None if time is None else _number(time, "time"),
+                time=None if time is None else number(time, "time"),
             )
         )
     assignment = Assignment(
         variant=HeadVariant(rec["variant"]),
         slots=tuple(slots),
-        truncated=_exact(rec.get("truncated", False), bool, "truncated"),
+        truncated=exact(rec.get("truncated", False), bool, "truncated"),
     )
     seg = None
     seg_doc = rec.get("segmentation")
     if seg_doc is not None:
         frame_dists = [
-            [_number(p, "frame_dists") for p in dist] for dist in seg_doc["frame_dists"]
+            [number(p, "frame_dists") for p in dist] for dist in seg_doc["frame_dists"]
         ]
-        seg = (frame_dists, SegGrid(tuple(_exact(v, int, "labels") for v in seg_doc["labels"])))
-    return _exact(rec.get("id"), str, "id", nullable=True), outputs, assignment, seg
+        seg = (frame_dists, SegGrid(tuple(exact(v, int, "labels") for v in seg_doc["labels"])))
+    return exact(rec.get("id"), str, "id", nullable=True), outputs, assignment, seg
 
 
 def _weights(doc: dict, path: str | Path) -> tuple[float, ...] | None:
@@ -518,14 +483,13 @@ def _weights(doc: dict, path: str | Path) -> tuple[float, ...] | None:
     weights: list[float] = []
     try:
         for value in items:
-            if type(value) is not float and type(value) is not int:
-                raise TypeError(f"must be a number, got {value!r}")
-            weight = float(value)
+            name = f"weights #{len(weights)}:"
+            weight = number(value, name)
             if not (math.isfinite(weight) and weight > 0.0):
-                raise ValueError(f"must be finite and > 0, got {value!r}")
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
             weights.append(weight)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"{path}: weights #{len(weights)}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     return tuple(weights)
 
 
@@ -534,7 +498,7 @@ def read_loss_check(
 ) -> tuple[BenchConfig, tuple[float, ...] | None, list[_LossEntry]]:
     """Parse a loss-check document into (config, weights, per-clip entries)."""
     doc = _load(path, FORMAT_LOSS_CHECK)
-    cfg = config_from_doc(doc.get("config", {}))
+    cfg = _config(doc.get("config", {}), path)
     weights = _weights(doc, path)
     clips = _read_records(doc, "clips", path, "clip", _loss_clip)
     entries = [(str(i if id_ is None else id_), *rest) for i, (id_, *rest) in enumerate(clips)]

@@ -70,7 +70,7 @@ def check_distribution(probs: Sequence[float], what: str = "class distribution")
     which is why it is not a :class:`SlotOutput` construction invariant.
     """
     total = math.fsum(probs)
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:  # NaN fails too
         raise LossError(f"{what} sums to {total!r}, expected 1")
 
 

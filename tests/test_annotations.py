@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from kickcast.annotations import (
     stats_from_counts,
     write_annotations,
 )
+from kickcast.jsonio import FileFormatError
 
 
 def make_doc(annotations, *, game_id="g", split="train", durations=None):
@@ -197,7 +199,7 @@ class TestDocumentValidation:
     def test_invalid_json_file(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{nope")
-        with pytest.raises(AnnotationError, match="invalid JSON"):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(bad))}: not valid JSON"):
             parse_annotations(bad)
 
     def test_game_id_defaults_to_file_stem(self, tmp_path):

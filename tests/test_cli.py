@@ -10,7 +10,7 @@ import pytest
 
 import kickcast.cli as cli
 from kickcast.cli import main
-from kickcast.config import MAX_QUERIES
+from kickcast.config import MAX_QUERIES, BenchConfig
 from kickcast.fileio import read_eval_clips, read_predictions
 
 from conftest import FIXTURE_DIR, loss_check_doc
@@ -407,6 +407,8 @@ class TestBadInput:
             ("kickcast-loss-check", {"clips": [[1]]}, "clip #0"),
             ("kickcast-loss-check", {"weights": 5, "clips": []}, "'weights' must be a list"),
             ("kickcast-loss-check", {"weights": [[1]], "clips": []}, "weights"),
+            ("kickcast-eval-clips", {"config": 5, "clips": []}, "config must be an object"),
+            ("kickcast-loss-check", {"config": 5, "clips": []}, "config must be an object"),
         ],
     )
     def test_malformed_record_arrays(self, tmp_path, clips_file, capsys, fmt, body, match):
@@ -516,6 +518,7 @@ class TestBadInput:
             ("num_classes", 10.0),
             ("context_s", True),
             ("context_s", 5),  # an int is a valid number of seconds
+            ("bogus", 1),
         ],
     )
     @pytest.mark.parametrize("command", ["evaluate", "loss-check"])
@@ -531,11 +534,58 @@ class TestBadInput:
         else:
             argv = ["loss-check", str(bad)]
         code, _, err = run(argv, capsys)
-        if type(value) is int:
+        if key == "context_s" and type(value) is int:
             assert (code, err) == (0, "")
         else:
             self.assert_one_error_line(code, err)
-            assert f"{key} must be" in err
+            what = "unknown field 'bogus'" if key == "bogus" else f"{key} must be"
+            assert f"{bad}: bad config: {what}" in err
+    def test_nan_frame_distribution(self, tmp_path, capsys):
+        doc = loss_check_doc()
+        frames, width = BenchConfig().context_frames, BenchConfig().num_classes + 1
+        dists = [[1.0 / width] * width for _ in range(frames)]
+        dists[-1][0] = math.nan
+        doc["clips"][0]["segmentation"] = {"frame_dists": dists, "labels": [0] * frames}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # NaN as JSON's extension literal
+        code, out, err = run(["loss-check", str(bad)], capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert f"{bad}: clip #0 (demo): frame {frames - 1} distribution sums to nan" in err
+
+    @pytest.mark.parametrize(
+        "payload", ["[" * 100_000 + "]" * 100_000, "1" + "0" * 5000], ids=["deep", "5001-digit"]
+    )
+    @pytest.mark.parametrize(
+        "kind", ["annotations", "eval-clips", "predictions", "loss-check", "config"]
+    )
+    def test_undecodable_json(self, tmp_path, capsys, clips_file, oracle_file, kind, payload):
+        bad = tmp_path / "bad.json"
+        if kind == "annotations":
+            doc = json.loads(next(FIXTURE_DIR.glob("*.json")).read_text())
+            doc["annotations"][0]["position"] = "@"
+            argv = ["prepare", str(bad), "--out", str(tmp_path / "out.json")]
+        elif kind == "predictions":
+            doc = json.loads(oracle_file.read_text())
+            doc["predictions"][0]["time_s"] = "@"
+            argv = ["evaluate", "--gt", str(clips_file), "--pred", str(bad)]
+        elif kind == "loss-check":
+            doc = loss_check_doc()
+            doc["clips"][0]["id"] = "@"
+            argv = ["loss-check", str(bad)]
+        else:  # an eval-clips file, or the config embedded in one
+            doc = json.loads(clips_file.read_text())
+            if kind == "config":
+                doc["config"]["queries"] = "@"
+            else:
+                doc["clips"][0]["half"] = "@"
+            argv = ["evaluate", "--gt", str(bad), "--pred", str(oracle_file)]
+        bad.write_text(json.dumps(doc).replace('"@"', payload, 1))
+        code, out, err = run(argv, capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert f"{bad}: not valid JSON: " in err
+
     @pytest.mark.parametrize("key", ["half", "offset_ms", "game_id", "clip_id"])
     def test_bad_eval_clip_field(self, tmp_path, capsys, clips_file, oracle_file, key):
         doc = json.loads(clips_file.read_text())

@@ -15,7 +15,12 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import kickcast.fileio as fileio
-from kickcast.annotations import ActionClass, serialize_annotations
+from kickcast.annotations import (
+    ActionClass,
+    AnnotationError,
+    parse_annotations_dict,
+    serialize_annotations,
+)
 from kickcast.baselines import BaselineSpec, oracle_predictor
 from kickcast.config import MAX_QUERIES, BenchConfig
 from kickcast.fileio import (
@@ -704,14 +709,14 @@ class TestSchemas:
         }[name]
         validator_for(name, schema_registry).validate(doc)
         lookups, typed = [], set()
-        load, exact = fileio._load, fileio._exact
+        load, exact = fileio._load, fileio.exact
 
         def spy(value, kind, field, nullable=False):
             typed.add((field, kind, nullable))
             return exact(value, kind, field, nullable)
 
         monkeypatch.setattr(fileio, "_load", lambda *args: recording(load(*args), lookups))
-        monkeypatch.setattr(fileio, "_exact", spy)
+        monkeypatch.setattr(fileio, "exact", spy)
         path = tmp_path / "doc.json"
         path.write_text(dump_json(doc))
         read(path)
@@ -812,6 +817,27 @@ class TestSchemas:
             "annotations": [{"gameTime": "3 - 00:01", "label": "Pass"}],
         }
         assert not validator.is_valid(bad)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("halfDurationsMs", {"1": 9000, "01": 20000}),
+            ("position", "1_0000"),
+            ("position", " +10000 "),
+            ("gameTime", "\u0661 - 00:10"),  # an Arabic-Indic digit one
+            ("gameTime", "01 - 00:10"),
+        ],
+    )
+    def test_annotation_reader_rejects_what_the_schema_rejects(self, schema_registry, key, value):
+        validator = validator_for("annotations", schema_registry)
+        record = {"gameTime": "1 - 00:10", "position": 10000, "label": "Pass"}
+        doc = {"gameId": "g", "split": "train", "annotations": [record]}
+        validator.validate(doc)
+        parse_annotations_dict(doc)
+        (doc if key == "halfDurationsMs" else record)[key] = value
+        assert not validator.is_valid(doc)
+        with pytest.raises(AnnotationError):
+            parse_annotations_dict(doc)
 
     def test_schema_rejects_wrong_format_tag(self, schema_registry, eval_clips):
         validator = validator_for("eval-clips", schema_registry)

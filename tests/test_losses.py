@@ -81,6 +81,10 @@ class TestSlotOutput:
         with pytest.raises(LossError, match="sums to"):
             check_distribution((0.9, 0.9))
 
+    def test_check_distribution_rejects_nan(self):
+        with pytest.raises(LossError, match="sums to nan"):
+            check_distribution((math.nan, 0.5, 0.5))
+
 
 class TestDetection:
     def test_perfect_outputs_zero_loss(self):
