@@ -114,7 +114,7 @@ def _clip_rng(spec: BaselineSpec, clip: EvalClip) -> SplitMix64:
 
 
 def _canonical(clips: Iterable[EvalClip]) -> list[EvalClip]:
-    return sorted(clips, key=lambda c: (c.game_id, c.half, c.anticipation_start_ms))
+    return sorted(clips, key=lambda c: c.sort_key)
 
 
 def oracle_predictor(clips: Iterable[EvalClip], spec: BaselineSpec) -> list[Prediction]:

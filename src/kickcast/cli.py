@@ -8,6 +8,10 @@ Subcommands::
     kickcast evaluate    eval-clips + predictions -> scored report
     kickcast baseline    annotations -> synthetic prediction file
 
+The evaluation protocol fixes 30 s of visible history before each window, so
+``prepare`` and ``baseline`` take only ``--ta``; context length, frame rate
+and slot count are training choices, given to ``targets``.
+
 All outputs are canonical (sorted records, stable JSON), so repeated runs
 on the same inputs are byte-identical.
 """
@@ -52,23 +56,8 @@ from .targets import HEADS, HeadVariant, assign_for_variant
 from .windowing import make_eval_clips, make_train_clips
 
 
-def _add_window_args(parser: argparse.ArgumentParser, with_queries: bool = False) -> None:
-    parser.add_argument("--tc", type=float, default=5.0, help="context length in seconds")
+def _add_ta_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ta", type=float, default=5.0, help="anticipation length in seconds")
-    parser.add_argument("--fps", type=float, default=6.25, help="context frame rate")
-    if with_queries:
-        parser.add_argument(
-            "--queries", type=int, default=0, help="slot count (0 = derived from --ta)"
-        )
-
-
-def _config_from_args(args: argparse.Namespace) -> BenchConfig:
-    return BenchConfig(
-        context_s=args.tc,
-        anticipation_s=args.ta,
-        fps=args.fps,
-        queries=getattr(args, "queries", 0),
-    )
 
 
 def _load_corpus(paths: Sequence[str], split: str | None) -> list[GameAnnotations]:
@@ -103,7 +92,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    cfg = BenchConfig(anticipation_s=args.ta)
     games = _load_corpus(args.annotations, args.split)
     write_eval_clips(args.out, _eval_clips(games, cfg), cfg)
     return 0
@@ -116,7 +105,9 @@ def cmd_targets(args: argparse.Namespace) -> int:
             f"{variant.value} pairing depends on model outputs and cannot be "
             "precomputed; use the library API with live outputs instead"
         )
-    cfg = _config_from_args(args)
+    cfg = BenchConfig(
+        context_s=args.tc, anticipation_s=args.ta, fps=args.fps, queries=args.queries
+    )
     games = _load_corpus(args.annotations, args.split)
     records = []
     for game in games:
@@ -169,7 +160,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         top_k=args.top_k,
         per_clip=args.per_clip,
     )
-    cfg = _config_from_args(args)
+    cfg = BenchConfig(anticipation_s=args.ta)
     games = _load_corpus(args.annotations, None)
     scored = [g for g in games if args.split is None or g.split == args.split]
     if not scored:
@@ -196,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="derive evaluation clips from annotations")
     p.add_argument("annotations", nargs="+", help="annotation files or directories")
     p.add_argument("--split", help="only games of this split")
-    _add_window_args(p)
+    _add_ta_arg(p)
     p.add_argument("--out", required=True, help="output eval-clips file")
     p.set_defaults(func=cmd_prepare)
 
@@ -209,7 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="prediction-head variant",
     )
     p.add_argument("--split", help="only games of this split")
-    _add_window_args(p, with_queries=True)
+    p.add_argument("--tc", type=float, default=5.0, help="context length in seconds")
+    _add_ta_arg(p)
+    p.add_argument("--fps", type=float, default=6.25, help="context frame rate")
+    p.add_argument("--queries", type=int, default=0, help="slot count (0 = derived from --ta)")
     p.add_argument("--out", required=True, help="output targets file")
     p.set_defaults(func=cmd_targets)
 
@@ -239,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--top-k", type=int, default=3, help="prior: number of classes emitted")
     p.add_argument("--per-clip", type=int, default=3, help="random: predictions per clip")
-    _add_window_args(p)
+    _add_ta_arg(p)
     p.add_argument("--out", required=True, help="output predictions file")
     p.set_defaults(func=cmd_baseline)
 

@@ -13,7 +13,10 @@ Formats (all version 1):
 * ``kickcast-eval-clips``   {format, version, config, clips: [{clip_id,
   game_id, half, context_start_ms, context_end_ms, anticipation_start_ms,
   anticipation_end_ms, partial, gt_actions: [{label, offset_ms}]}]},
-  clips sorted by (game_id, half, anticipation_start_ms).
+  clips sorted by :attr:`EvalClip.sort_key`.  ``clip_id`` and the context span
+  are derived from the other fields and checked against them on read; a window
+  is T_a long unless it is ``partial``.  Only ``anticipation_s`` of the config
+  shapes the clips: the rest keeps its defaults for byte stability.
 * ``kickcast-predictions``  {format, version, predictions: [{clip_id, label,
   time_s, confidence}]}, sorted by (clip_id, label, time_s, -confidence).
 * ``kickcast-targets``      {format, version, config, variant, clips:
@@ -39,7 +42,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .annotations import parse_label
 from .config import BenchConfig
-from .jsonio import FileFormatError, exact, number, read_json, write_text
+from .jsonio import FileFormatError, brief, exact, number, read_json, write_text
 from .losses import SlotOutput
 from .metrics import EvalReport, Prediction
 from .targets import Assignment, HeadVariant, SlotTarget
@@ -182,10 +185,10 @@ def _load(path: str | Path, expected_format: str) -> dict:
         raise FileFormatError(f"{path}: expected a JSON object at top level")
     fmt = doc.get("format")
     if fmt != expected_format:
-        raise FileFormatError(f"{path}: format {fmt!r}, expected {expected_format!r}")
+        raise FileFormatError(f"{path}: format {brief(fmt)}, expected {expected_format!r}")
     version = doc.get("version")
     if version != VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version!r}")
+        raise FileFormatError(f"{path}: unsupported version {brief(version)}")
     return doc
 
 
@@ -259,7 +262,7 @@ def config_from_doc(doc: Any) -> BenchConfig:
         raise FileFormatError("config must be an object")
     unknown = sorted(doc.keys() - {f.name for f in fields(BenchConfig)})
     if unknown:
-        raise FileFormatError(f"bad config: unknown field {unknown[0]!r}")
+        raise FileFormatError(f"bad config: unknown field {brief(unknown[0])}")
     try:
         return BenchConfig(**doc)
     except ValueError as exc:
@@ -291,7 +294,7 @@ def eval_clips_to_doc(clips: Iterable[EvalClip], cfg: BenchConfig) -> dict:
                 {"label": a.label.value, "offset_ms": a.offset_ms} for a in clip.gt_actions
             ],
         }
-        for clip in sorted(clips, key=lambda c: (c.game_id, c.half, c.anticipation_start_ms))
+        for clip in sorted(clips, key=lambda c: c.sort_key)
     ]
     return {
         "format": FORMAT_EVAL_CLIPS,
@@ -309,8 +312,6 @@ def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
     clip = EvalClip(
         game_id=exact(rec["game_id"], str, "game_id"),
         half=exact(rec["half"], int, "half"),
-        context_start_ms=exact(rec["context_start_ms"], int, "context_start_ms"),
-        context_end_ms=exact(rec["context_end_ms"], int, "context_end_ms"),
         anticipation_start_ms=exact(rec["anticipation_start_ms"], int, "anticipation_start_ms"),
         anticipation_end_ms=exact(rec["anticipation_end_ms"], int, "anticipation_end_ms"),
         partial=exact(rec["partial"], bool, "partial"),
@@ -319,10 +320,12 @@ def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
             for a in rec["gt_actions"]
         ),
     )
-    if exact(rec["clip_id"], str, "clip_id") != clip.clip_id:
-        raise ValueError(f"id {rec['clip_id']!r} does not match derived {clip.clip_id!r}")
+    for key, kind in (("clip_id", str), ("context_start_ms", int), ("context_end_ms", int)):
+        derived = getattr(clip, key)
+        if exact(rec[key], kind, key) != derived:
+            raise ValueError(f"{key} {brief(rec[key])} does not match derived {brief(derived)}")
     window = clip.window_len_ms
-    if window <= 0 or (window < ta_ms) != clip.partial:
+    if not 0 < window <= ta_ms or (window < ta_ms) != clip.partial:
         raise ValueError(
             f"span of {window} ms inconsistent with partial={clip.partial} at T_a={ta_ms} ms"
         )

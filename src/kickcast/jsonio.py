@@ -1,5 +1,8 @@
 """The JSON input boundary: one file loader, one error form and the field value rules.
 
+Error messages quote document values through :func:`brief`, which cuts a long
+repr, so one huge value cannot make a huge error line.
+
 Every kickcast input is read here; this module imports nothing from kickcast.
 """
 
@@ -34,11 +37,21 @@ def write_text(path: str | Path, text: str) -> None:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
 
 
+#: Longest repr of a document value that an error message quotes.
+REPR_LIMIT = 80
+
+
+def brief(value: Any) -> str:
+    """``repr(value)``, cut to :data:`REPR_LIMIT` characters plus ``...`` when longer."""
+    text = repr(value)
+    return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
+
+
 def exact(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
     """``value`` if its JSON type is exactly ``kind`` (or null, if ``nullable``)."""
     if type(value) is not kind and not (nullable and value is None):
         what = {bool: "a boolean", int: "an integer", str: "a string"}[kind]
-        raise TypeError(f"{name} must be {what}, got {value!r}")
+        raise TypeError(f"{name} must be {what}, got {brief(value)}")
     return value
 
 
@@ -47,7 +60,7 @@ def number(value: Any, name: str) -> float:
     if type(value) is float:
         return value
     if type(value) is not int:
-        raise TypeError(f"{name} must be a number, got {value!r}")
+        raise TypeError(f"{name} must be a number, got {brief(value)}")
     try:
         return float(value)
     except OverflowError:

@@ -2,7 +2,10 @@
 
 Evaluation windows tile each half from t=0 with a stride of one anticipation
 window, so every retained action lands in exactly one window. Halves are
-treated as independent timelines; windows never straddle half-time. Training
+treated as independent timelines; windows never straddle half-time. The
+evaluation protocol fixes each window's visible history: the up-to-30 s
+(:data:`EVAL_CONTEXT_MS`) stretch ending at the window start, derived from the
+start rather than stored, whatever context length a model trains with. Training
 clips slide with 90% overlap and carry both the observed context actions and
 the following anticipation-window actions for supervision.
 """
@@ -38,8 +41,6 @@ class EvalClip:
 
     game_id: str
     half: int
-    context_start_ms: int
-    context_end_ms: int
     anticipation_start_ms: int
     anticipation_end_ms: int
     partial: bool
@@ -48,6 +49,19 @@ class EvalClip:
     @property
     def clip_id(self) -> str:
         return f"{self.game_id}:{self.half}:{self.anticipation_start_ms:07d}"
+
+    @property
+    def sort_key(self) -> tuple[str, int, int]:
+        """The canonical clip order: game, half, then window start."""
+        return (self.game_id, self.half, self.anticipation_start_ms)
+
+    @property
+    def context_start_ms(self) -> int:
+        return max(0, self.anticipation_start_ms - EVAL_CONTEXT_MS)
+
+    @property
+    def context_end_ms(self) -> int:
+        return self.anticipation_start_ms
 
     @property
     def window_len_ms(self) -> int:
@@ -125,8 +139,6 @@ def make_eval_clips(game: GameAnnotations, cfg: BenchConfig) -> list[EvalClip]:
                 EvalClip(
                     game_id=game.game_id,
                     half=half,
-                    context_start_ms=max(0, start - EVAL_CONTEXT_MS),
-                    context_end_ms=start,
                     anticipation_start_ms=start,
                     anticipation_end_ms=end,
                     partial=end - start < ta_ms,

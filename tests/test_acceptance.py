@@ -80,8 +80,6 @@ def test_metric_oracle_equivalence(capsys, cfg):
             clip = EvalClip(
                 game_id="acc/equiv",
                 half=1,
-                context_start_ms=max(0, start - 30_000),
-                context_end_ms=start,
                 anticipation_start_ms=start,
                 anticipation_end_ms=start + 5_000,
                 partial=False,
@@ -122,8 +120,6 @@ def test_worked_ap_example(capsys):
         clip = EvalClip(
             game_id="acc/worked",
             half=1,
-            context_start_ms=0,
-            context_end_ms=0,
             anticipation_start_ms=0,
             anticipation_end_ms=5_000,
             partial=False,

@@ -377,7 +377,9 @@ class TestBadInput:
     )
     def test_bad_window_config(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "c.json"
-        code, _, err = run(["prepare", str(FIXTURE_DIR), flag, value, "--out", str(out)], capsys)
+        # Only targets takes the training choices --tc and --fps.
+        command = ["prepare"] if flag == "--ta" else ["targets", "--variant", "q-act"]
+        code, _, err = run([*command, str(FIXTURE_DIR), flag, value, "--out", str(out)], capsys)
         self.assert_one_error_line(code, err)
         assert field in err
         assert not out.exists()
@@ -605,6 +607,35 @@ class TestBadInput:
         what = "a string" if key.endswith("_id") else "an integer"
         assert f"{key} must be {what}" in err
 
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("context_start_ms", 10**12, "context_start_ms 1000000000000 does not match derived"),
+            ("context_end_ms", -7, "context_end_ms -7 does not match derived"),
+            ("anticipation_end_ms", 10**12, "inconsistent with partial=False at T_a=5000 ms"),
+            ("half", [0] * 200_000, "half must be an integer, got [0, 0, "),
+            ("clip_id", "x" * 1_000_000, "clip_id 'xxx"),
+        ],
+        ids=["context-start", "context-end", "long-window", "huge-half", "huge-clip-id"],
+    )
+    def test_eval_clip_outside_protocol(
+        self, tmp_path, capsys, clips_file, oracle_file, key, value, match
+    ):
+        doc = json.loads(clips_file.read_text())
+        clip = next(c for c in doc["clips"] if not c["partial"])
+        if key == "anticipation_end_ms":
+            value += clip["anticipation_start_ms"]
+        clip[key] = value
+        doc["clips"] = [clip]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["evaluate", "--gt", str(bad), "--pred", str(oracle_file)], capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert err.count(f"{bad}: clip #0: ") == 1
+        assert match in err
+        assert len(err.replace(str(bad), "").encode()) <= 300  # values are quoted briefly
+
     def test_bad_prediction_clip_id(self, tmp_path, capsys, clips_file, oracle_file):
         doc = json.loads(oracle_file.read_text())
         doc["predictions"][0]["clip_id"] = 7
@@ -690,3 +721,14 @@ class TestParser:
     def test_unknown_variant_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["targets", str(FIXTURE_DIR), "--variant", "zap", "--out", "x"])
+
+    @pytest.mark.parametrize("command", ["prepare", "baseline"])
+    @pytest.mark.parametrize("flag, value", [("--tc", "5"), ("--fps", "25")])
+    def test_eval_commands_take_no_training_choices(self, tmp_path, capsys, command, flag, value):
+        # The evaluation protocol fixes the context; only --ta shapes eval clips.
+        kind = ["--kind", "oracle"] if command == "baseline" else []
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(FIXTURE_DIR), *kind, flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()

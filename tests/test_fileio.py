@@ -310,12 +310,16 @@ class TestEvalClipsFile:
     def _doc(self, eval_clips):
         return eval_clips_to_doc(eval_clips[:3], CFG)
 
-    def test_clip_id_mismatch_rejected(self, tmp_path, eval_clips):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("clip_id", "tampered"), ("context_start_ms", 1), ("context_end_ms", 1)],
+    )
+    def test_clip_id_mismatch_rejected(self, tmp_path, eval_clips, key, value):
         doc = self._doc(eval_clips)
-        doc["clips"][0]["clip_id"] = "tampered"
+        doc["clips"][0][key] = value
         path = tmp_path / "bad.json"
         path.write_text(dump_json(doc))
-        with pytest.raises(FileFormatError, match="does not match"):
+        with pytest.raises(FileFormatError, match=f"clip #0: {key} .* does not match derived"):
             read_eval_clips(path)
 
     def test_wrong_format_rejected(self, tmp_path, eval_clips):

@@ -37,8 +37,6 @@ def make_clip(gt, *, clip_seq=0, window_ms=5_000, game="t/unit", half=1):
     return EvalClip(
         game_id=game,
         half=half,
-        context_start_ms=max(0, start - 30_000),
-        context_end_ms=start,
         anticipation_start_ms=start,
         anticipation_end_ms=start + window_ms,
         partial=False,
