@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .config import NUM_CLASSES
-from .jsonio import exact, read_json, write_text
+from .jsonio import brief, exact, read_json, write_text
 
 SPLITS = ("train", "valid", "test", "challenge")
 
@@ -87,7 +87,7 @@ def parse_label(raw: str) -> ActionClass:
     try:
         return _LABEL_LOOKUP[_normalize_label(raw)]
     except KeyError:
-        raise AnnotationError(f"unknown label {raw!r}") from None
+        raise AnnotationError(f"unknown label {brief(raw)}") from None
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class GameAnnotations:
 
     def __post_init__(self) -> None:
         if self.split not in SPLITS:
-            raise AnnotationError(f"split must be one of {SPLITS}, got {self.split!r}")
+            raise AnnotationError(f"split must be one of {SPLITS}, got {brief(self.split)}")
         # Both tilings walk each half's actions in time order.  Only neighbours
         # out of (half, time_ms) order or tied on it need the full sort key.
         actions = self.actions
@@ -144,7 +144,7 @@ def _parse_game_time(raw: str) -> tuple[int, int]:
     """Return (half, milliseconds) from an ``"<half> - MM:SS[.mmm]"`` string."""
     m = _GAME_TIME_RE.match(raw)
     if m is None:
-        raise AnnotationError(f"malformed gameTime {raw!r}")
+        raise AnnotationError(f"malformed gameTime {brief(raw)}")
     half = int(m.group(1))
     ms = (int(m.group(2)) * 60 + int(m.group(3))) * 1000
     if m.group(4) is not None:
@@ -156,7 +156,9 @@ def _parse_position(raw: object) -> int:
     # int() would also take signs, spaces, underscores and other scripts' digits.
     if (type(raw) is str and raw.isascii() and raw.isdigit()) or (type(raw) is int and raw >= 0):
         return int(raw)
-    raise AnnotationError(f"position must be a non-negative integer or digit string, got {raw!r}")
+    raise AnnotationError(
+        f"position must be a non-negative integer or digit string, got {brief(raw)}"
+    )
 
 
 def _parse_record(record: object, game_id: str, durations: Mapping[int, int]) -> ActionInstance:
@@ -172,13 +174,16 @@ def _parse_record(record: object, game_id: str, durations: Mapping[int, int]) ->
         time_ms = _parse_position(record["position"])
         if abs(time_ms - gametime_ms) >= 1000:
             raise AnnotationError(
-                f"position {time_ms} disagrees with gameTime {game_time!r} by a second or more"
+                f"position {brief(time_ms)} disagrees with gameTime {brief(game_time)} "
+                "by a second or more"
             )
     else:
         time_ms = gametime_ms
     duration = durations.get(half)
     if duration is not None and time_ms > duration:
-        raise AnnotationError(f"time {time_ms} ms exceeds half {half} duration {duration} ms")
+        raise AnnotationError(
+            f"time {brief(time_ms)} ms exceeds half {half} duration {brief(duration)} ms"
+        )
     return ActionInstance(half=half, time_ms=time_ms, label=label, game_id=game_id)
 
 
@@ -188,9 +193,9 @@ def _parse_durations(raw: object) -> dict[int, int]:
     durations: dict[int, int] = {}
     for key, value in raw.items():
         if key not in ("1", "2"):
-            raise AnnotationError(f"half key must be \"1\" or \"2\", got {key!r}")
+            raise AnnotationError(f"half key must be \"1\" or \"2\", got {brief(key)}")
         if exact(value, int, "half duration") < 0:
-            raise AnnotationError(f"half duration must be non-negative, got {value!r}")
+            raise AnnotationError(f"half duration must be non-negative, got {brief(value)}")
         durations[int(key)] = value
     return durations
 
@@ -205,7 +210,7 @@ def parse_annotations_dict(doc: object, *, default_game_id: str = "game") -> Gam
     except TypeError as exc:
         raise AnnotationError(str(exc)) from None
     if not game_id:
-        raise AnnotationError(f"gameId must be a non-empty string, got {game_id!r}")
+        raise AnnotationError(f"gameId must be a non-empty string, got {brief(game_id)}")
     split = doc.get("split", "test")
     records = doc.get("annotations")
     if not isinstance(records, list):

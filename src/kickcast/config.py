@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .jsonio import exact, number
+from .jsonio import brief, exact, number
 
 #: Number of action classes scored by the benchmark.
 NUM_CLASSES = 10
@@ -69,11 +69,11 @@ class BenchConfig:
         # Kept in config documents for byte stability; the head table, the class
         # set and the decoder all assume the one retained class count.
         if self.num_classes != NUM_CLASSES:
-            raise ValueError(f"num_classes must be {NUM_CLASSES}, got {self.num_classes!r}")
+            raise ValueError(f"num_classes must be {NUM_CLASSES}, got {brief(self.num_classes)}")
         if self.queries == 0:
             object.__setattr__(self, "queries", default_query_count(self.anticipation_s))
         if not 1 <= self.queries <= MAX_QUERIES:
-            raise ValueError(f"queries must be from 1 to {MAX_QUERIES}, got {self.queries!r}")
+            raise ValueError(f"queries must be from 1 to {MAX_QUERIES}, got {brief(self.queries)}")
 
     @property
     def context_frames(self) -> int:

@@ -440,6 +440,17 @@ def write_targets(
 _LossEntry = tuple[str, list[SlotOutput], Assignment, tuple[list[list[float]], SegGrid] | None]
 
 
+_VARIANTS = {v.value: v for v in HeadVariant}
+
+
+def _variant(value: Any) -> HeadVariant:
+    """The head variant named by ``value``; ``HeadVariant(value)`` would quote all of it."""
+    variant = _VARIANTS.get(exact(value, str, "variant"))
+    if variant is None:
+        raise ValueError(f"unknown variant {brief(value)}")
+    return variant
+
+
 def _loss_clip(rec: dict) -> _LossEntry:
     outputs = [
         SlotOutput(
@@ -464,7 +475,7 @@ def _loss_clip(rec: dict) -> _LossEntry:
             )
         )
     assignment = Assignment(
-        variant=HeadVariant(rec["variant"]),
+        variant=_variant(rec["variant"]),
         slots=tuple(slots),
         truncated=exact(rec.get("truncated", False), bool, "truncated"),
     )
@@ -489,7 +500,7 @@ def _weights(doc: dict, path: str | Path) -> tuple[float, ...] | None:
             name = f"weights #{len(weights)}:"
             weight = number(value, name)
             if not (math.isfinite(weight) and weight > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+                raise ValueError(f"{name} must be finite and > 0, got {brief(value)}")
             weights.append(weight)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

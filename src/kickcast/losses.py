@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .config import BenchConfig
+from .jsonio import brief
 from .targets import Assignment
 from .timecodec import encode_time
 from .windowing import SegGrid
@@ -127,7 +128,7 @@ def loss_class(
             idx = slot.class_index
             if type(idx) is not int or not 0 <= idx < len(out.class_probs):
                 raise LossError(
-                    f"class target {idx!r} outside distribution of {len(out.class_probs)}"
+                    f"class target {brief(idx)} outside distribution of {len(out.class_probs)}"
                 )
             terms.append(-_weight(weights, idx) * _log(out.class_probs[idx]))
         elif slot.class_multihot is not None:
@@ -137,7 +138,7 @@ def loss_class(
                     f"multi-hot target of {len(hot)} vs distribution of {len(out.class_probs)}"
                 )
             if any(y not in (0, 1) for y in hot):
-                raise LossError(f"multi-hot target {hot!r} has an entry other than 0 or 1")
+                raise LossError(f"multi-hot target {brief(hot)} has an entry other than 0 or 1")
             per_class = [
                 _bce(y, p, _weight(weights, c))
                 for c, (y, p) in enumerate(zip(hot, out.class_probs))
@@ -176,7 +177,7 @@ def loss_segmentation(
     for f, (dist, label) in enumerate(zip(frame_dists, labels)):
         check_distribution(dist, f"frame {f} distribution")
         if not 0 <= label < len(dist):
-            raise LossError(f"frame {f} label {label} outside distribution of {len(dist)}")
+            raise LossError(f"frame {f} label {brief(label)} outside distribution of {len(dist)}")
         w = 1.0 if label == 0 else _weight(weights, label - 1)
         terms.append(-w * _log(dist[label]))
     return math.fsum(terms) / len(terms) if terms else 0.0

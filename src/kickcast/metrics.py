@@ -34,6 +34,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .annotations import RETAINED_CLASSES, ActionClass
 from .config import BenchConfig
+from .jsonio import brief
 from .losses import SlotOutput, check_distribution
 from .targets import HEADS, HeadVariant, Pairing
 from .timecodec import decode_time
@@ -254,12 +255,14 @@ def evaluate(
     for clip in clips:
         clip_id = clip.clip_id
         if clip_id in window_s:
-            raise MetricError(f"duplicate clip id {clip_id!r}")
+            raise MetricError(f"duplicate clip id {brief(clip_id)}")
         window_s[clip_id] = clip.window_len_s
         for action in clip.gt_actions:
             class_gt = gt_times.get(action.label)
             if class_gt is None:
-                raise MetricError(f"clip {clip_id!r} has excluded class {action.label.value!r}")
+                raise MetricError(
+                    f"clip {brief(clip_id)} has excluded class {action.label.value!r}"
+                )
             class_gt.setdefault(clip_id, []).append(action.offset_s)
 
     # A missing bucket is an excluded class: the retained ones all have one.
@@ -269,13 +272,13 @@ def evaluate(
         clip_id, label, time_s, _, clamped = pred
         window = window_s.get(clip_id)
         if window is None:
-            raise MetricError(f"prediction references unknown clip {clip_id!r}")
+            raise MetricError(f"prediction references unknown clip {brief(clip_id)}")
         bucket = by_class.get(label)
         if bucket is None:
             raise MetricError(f"prediction has excluded class {label.value!r}")
         if time_s > window:
             raise MetricError(
-                f"prediction at {time_s} s outside {window} s window of clip {clip_id!r}"
+                f"prediction at {time_s} s outside {window} s window of clip {brief(clip_id)}"
             )
         bucket.append(pred)
         n_clamped += clamped

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import shutil
@@ -20,6 +21,22 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def command_argv(command, clips_file, oracle_file, check_file):
+    """Arguments for a successful run of ``command`` on the fixtures, without ``--out``."""
+    return {
+        "prepare": ["prepare", str(FIXTURE_DIR)],
+        "targets": ["targets", str(FIXTURE_DIR), "--variant", "q-act"],
+        "baseline": ["baseline", str(FIXTURE_DIR), "--kind", "oracle"],
+        "evaluate": ["evaluate", "--gt", str(clips_file), "--pred", str(oracle_file)],
+        "loss-check": ["loss-check", str(check_file)],
+    }[command]
+
+
+COMMANDS = ["prepare", "targets", "baseline", "evaluate", "loss-check"]
+#: A document value of 10^6 characters, for the bounded-error-text tests.
+LONG = "x" * 1_000_000
 
 
 @pytest.fixture()
@@ -384,16 +401,10 @@ class TestBadInput:
         assert field in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["prepare", "targets", "baseline", "evaluate", "loss-check"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_unwritable_out(self, tmp_path, capsys, clips_file, oracle_file, check_file, command):
         out = tmp_path / "missing" / "out.json"
-        argv = {
-            "prepare": ["prepare", str(FIXTURE_DIR)],
-            "targets": ["targets", str(FIXTURE_DIR), "--variant", "q-act"],
-            "baseline": ["baseline", str(FIXTURE_DIR), "--kind", "oracle"],
-            "evaluate": ["evaluate", "--gt", str(clips_file), "--pred", str(oracle_file)],
-            "loss-check": ["loss-check", str(check_file)],
-        }[command]
+        argv = command_argv(command, clips_file, oracle_file, check_file)
         code, _, err = run([*argv, "--out", str(out)], capsys)
         self.assert_one_error_line(code, err)
         assert f"{out}: No such file or directory" in err
@@ -521,7 +532,10 @@ class TestBadInput:
             ("context_s", True),
             ("context_s", 5),  # an int is a valid number of seconds
             ("bogus", 1),
+            ("num_classes", 10**4_000),
+            ("queries", 10**4_000),
         ],
+        ids=lambda value: f"{str(value)[:8]}..." if len(str(value)) > 20 else None,
     )
     @pytest.mark.parametrize("command", ["evaluate", "loss-check"])
     def test_config_field_type(self, tmp_path, capsys, request, command, key, value):
@@ -542,6 +556,7 @@ class TestBadInput:
             self.assert_one_error_line(code, err)
             what = "unknown field 'bogus'" if key == "bogus" else f"{key} must be"
             assert f"{bad}: bad config: {what}" in err
+            assert len(err.replace(str(bad), "").encode()) <= 300
     def test_nan_frame_distribution(self, tmp_path, capsys):
         doc = loss_check_doc()
         frames, width = BenchConfig().context_frames, BenchConfig().num_classes + 1
@@ -712,6 +727,141 @@ class TestBadInput:
         self.assert_one_error_line(code, err)
         assert "bad.json: not valid UTF-8" in err
 
+    # Each echoed document value is quoted through jsonio.brief.  Integers can
+    # only be as long as JSON's 4,300-digit limit allows, so those cases use
+    # 4,000 digits.
+    @classmethod
+    def assert_brief_error(cls, code, out, err, path, match):
+        cls.assert_one_error_line(code, err)
+        assert out == ""
+        assert match in err
+        assert len(err.replace(str(path), "").encode()) <= 300
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("label", "unknown label 'xxx"),
+            ("split", "split must be one of"),
+            ("gameTime", "malformed gameTime 'xxx"),
+            ("position", "digit string, got 'xxx"),
+            ("position-disagrees", "disagrees with gameTime"),
+            ("time-past-half", "exceeds half 1 duration"),
+            ("half-key", 'half key must be "1" or "2", got \'xxx'),
+            ("half-duration", "half duration must be non-negative, got -1000"),
+            ("duplicate-game-id", "duplicate game id 'xxx"),
+        ],
+    )
+    def test_long_annotation_value(self, tmp_path, capsys, case, match):
+        doc = json.loads((FIXTURE_DIR / "game-alpha.json").read_text())
+        record = doc["annotations"][0]
+        digits = "9" * 4_000
+        if case in ("split", "label", "gameTime", "position"):
+            (doc if case == "split" else record)[case] = LONG
+        elif case == "position-disagrees":
+            record["position"] = digits
+        elif case == "time-past-half":
+            record["gameTime"] = f"1 - {digits}:00"
+            record["position"] = str(int(digits) * 60_000)
+        elif case == "half-key":
+            doc["halfDurationsMs"] = {LONG: 1}
+        elif case == "half-duration":
+            doc["halfDurationsMs"] = {"1": -(10**4_000)}
+        else:
+            doc["gameId"] = LONG
+        bad = tmp_path / "ann"
+        bad.mkdir()
+        (bad / "a.json").write_text(json.dumps(doc))
+        if case == "duplicate-game-id":
+            (bad / "b.json").write_text(json.dumps(doc))
+        code, out, err = run(["prepare", str(bad), "--out", str(tmp_path / "c.json")], capsys)
+        self.assert_brief_error(code, out, err, bad, match)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("label", "unknown label 'xxx"),
+            ("duplicate-clip-id", "duplicate clip id 'xxx"),
+            ("excluded-class", "has excluded class 'Goal'"),
+        ],
+    )
+    def test_long_eval_clip_value(self, tmp_path, capsys, clips_file, oracle_file, case, match):
+        doc = json.loads(clips_file.read_text())
+        clip = next(c for c in doc["clips"] if c["gt_actions"])
+        if case == "label":
+            clip["gt_actions"][0]["label"] = LONG
+        else:
+            clip["game_id"] = LONG
+            clip["clip_id"] = f"{LONG}:{clip['half']}:{clip['anticipation_start_ms']:07d}"
+        if case == "excluded-class":
+            clip["gt_actions"][0]["label"] = "Goal"
+        doc["clips"] = [clip, clip] if case == "duplicate-clip-id" else [clip]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["evaluate", "--gt", str(bad), "--pred", str(oracle_file)], capsys)
+        self.assert_brief_error(code, out, err, bad, match)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("label", "unknown label 'xxx"),
+            ("unknown-clip", "prediction references unknown clip 'xxx"),
+            ("outside-window", "outside 5.0 s window of clip 'xxx"),
+        ],
+    )
+    def test_long_prediction_value(self, tmp_path, capsys, clips_file, case, match):
+        clips = json.loads(clips_file.read_text())
+        clip = next(c for c in clips["clips"] if not c["partial"])
+        clip["game_id"] = LONG
+        clip["clip_id"] = f"{LONG}:{clip['half']}:{clip['anticipation_start_ms']:07d}"
+        clip["gt_actions"] = []
+        clips["clips"] = [clip]
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(clips))
+        prediction = {"clip_id": clip["clip_id"], "label": "Pass", "time_s": 1.0, "confidence": 0.5}
+        if case == "label":
+            prediction["label"] = LONG
+        elif case == "unknown-clip":
+            prediction["clip_id"] = LONG  # the clip's id is LONG + ":<half>:<start>"
+        else:
+            prediction["time_s"] = 6.0
+        pred = tmp_path / "pred.json"
+        doc = {"format": "kickcast-predictions", "version": 1, "predictions": [prediction]}
+        pred.write_text(json.dumps(doc))
+        code, out, err = run(["evaluate", "--gt", str(gt), "--pred", str(pred)], capsys)
+        self.assert_brief_error(code, out, err, pred, match)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("variant", "unknown variant 'xxx"),
+            ("class-index", "class target 1000"),
+            ("multi-hot", "multi-hot target (1000"),
+            ("frame-label", "frame 0 label 1000"),
+        ],
+    )
+    def test_long_loss_check_value(self, tmp_path, capsys, case, match):
+        doc = loss_check_doc()
+        clip = doc["clips"][0]
+        huge = 10**4_000
+        if case == "variant":
+            clip["variant"] = LONG
+        elif case == "frame-label":
+            frames, width = BenchConfig().context_frames, BenchConfig().num_classes + 1
+            dists = [[1.0 / width] * width for _ in range(frames)]
+            clip["segmentation"] = {"frame_dists": dists, "labels": [huge] + [0] * (frames - 1)}
+        else:
+            slot = {"gt_index": 0, "actionness": 1.0, "class_index": None, "class_multihot": None}
+            slot["time"] = 0.5
+            if case == "class-index":
+                slot["class_index"] = huge
+            else:
+                slot["class_multihot"] = [huge] + [0] * 9
+            clip["slots"][0] = slot
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["loss-check", str(bad)], capsys)
+        self.assert_brief_error(code, out, err, bad, match)
+
 
 class TestParser:
     def test_requires_subcommand(self, capsys):
@@ -732,3 +882,72 @@ class TestParser:
             main([command, str(FIXTURE_DIR), *kind, flag, value, "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+
+class TestCollectorPause:
+    """Commands run with the cyclic garbage collector paused, then hand its state back."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
+    @pytest.mark.parametrize("outcome", ["success", "error", "usage"])
+    def test_caller_state_restored(self, tmp_path, capsys, outcome, enabled):
+        out = tmp_path / "clips.json"
+        source = {"success": FIXTURE_DIR, "error": tmp_path / "missing.json"}.get(outcome)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if source is None:
+                with pytest.raises(SystemExit):
+                    main(["prepare", "--bogus", "--out", str(out)])
+            else:
+                assert main(["prepare", str(source), "--out", str(out)]) == (
+                    0 if outcome == "success" else 2
+                )
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_collection_during_command(
+        self, tmp_path, monkeypatch, clips_file, oracle_file, check_file, command
+    ):
+        name = "cmd_" + command.replace("-", "_")
+        real, seen = getattr(cli, name), []
+
+        def counted(args):
+            before = [s["collections"] for s in gc.get_stats()]
+            code = real(args)
+            seen.append((gc.isenabled(), before, [s["collections"] for s in gc.get_stats()]))
+            return code
+
+        monkeypatch.setattr(cli, name, counted)
+        argv = command_argv(command, clips_file, oracle_file, check_file)
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        [(enabled, before, after)] = seen
+        assert not enabled
+        assert after == before
+
+    @pytest.mark.parametrize("command", ["prepare", "targets", "baseline", "evaluate"])
+    def test_cycles_do_not_grow_with_the_corpus(self, tmp_path, command):
+        # What the paused collector leaves for later must be a constant (the
+        # parser's own cycles), not a cycle per game, clip or record.
+        one = tmp_path / "one"
+        one.mkdir()
+        shutil.copy(FIXTURE_DIR / "game-alpha.json", one)
+        freed = []
+        for corpus in (one, FIXTURE_DIR):
+            clips, preds = tmp_path / "clips.json", tmp_path / "preds.json"
+            assert main(["prepare", str(corpus), "--out", str(clips)]) == 0
+            assert main(["baseline", str(corpus), "--kind", "random", "--out", str(preds)]) == 0
+            argv = {
+                "prepare": ["prepare", str(corpus)],
+                "targets": ["targets", str(corpus), "--variant", "q-bce"],
+                "baseline": ["baseline", str(corpus), "--kind", "random"],
+                "evaluate": ["evaluate", "--gt", str(clips), "--pred", str(preds)],
+            }[command]
+            gc.disable()  # so that nothing collects between the command and the count
+            try:
+                gc.collect()
+                assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+                freed.append(gc.collect())
+            finally:
+                gc.enable()
+        assert freed[1] <= freed[0]

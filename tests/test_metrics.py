@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from kickcast.config import BenchConfig
 from kickcast.losses import SlotOutput
 from kickcast.metrics import (
     DEFAULT_DELTAS,
+    ClassScore,
     EvalReport,
     MetricError,
     Prediction,
@@ -539,7 +541,7 @@ _TIED_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, 4.0, 5.0])
 
 
 @st.composite
-def tied_instances(draw):
+def tied_instances(draw, game="t/unit"):
     """Clips with zero to two ground truths per class and dense tied predictions.
 
     Each clip gets a q x C block of predictions: every slot emits every
@@ -555,7 +557,7 @@ def tied_instances(draw):
             for _ in range(draw(st.integers(0, 2)))
         ]
         gt.sort(key=lambda pair: pair[1])
-        clip = make_clip(gt, clip_seq=k)
+        clip = make_clip(gt, clip_seq=k, game=game)
         clips.append(clip)
         for _ in range(draw(st.integers(0, 6))):  # slots
             time_s = draw(_TIED_TIMES)
@@ -623,3 +625,81 @@ class TestNaiveEquivalence:
                         assert got == pytest.approx(want, abs=1e-9)
                 assert report.map_at[delta] == pytest.approx(maps[delta], abs=1e-9)
             assert report.average == pytest.approx(avg, abs=1e-9)
+
+
+def closed_form_at_inf(clips, preds):
+    """Per-class scores at delta = inf, without matching.
+
+    With an unbounded tolerance any prediction may take any unmatched ground
+    truth of its (clip, class) group, so the group's TPs are exactly its first
+    ``min(#predictions, #ground truth)`` predictions in rank order
+    (descending confidence, then time, then clip id; stable in input order).
+    """
+    gt_count = Counter((clip.clip_id, a.label) for clip in clips for a in clip.gt_actions)
+    taken = Counter()
+    flags = {label: [] for label in RETAINED_CLASSES}
+    for p in sorted(preds, key=lambda p: (-p.confidence, p.time_s, p.clip_id)):
+        group = (p.clip_id, p.label)
+        flags[p.label].append(taken[group] < gt_count[group])
+        taken[group] += 1
+    scores = {}
+    for label, ranked in flags.items():
+        total = sum(n for (_, lab), n in gt_count.items() if lab == label)
+        tp = sum(ranked)
+        ap = fraction_ap(ranked, total) if total else None
+        scores[label] = ClassScore(ap=ap, tp=tp, fp=len(ranked) - tp, gt=total)
+    return scores
+
+
+class TestClosedFormOracles:
+    """Properties of evaluate that hold whatever the greedy matching does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_instances())
+    def test_infinite_tolerance_in_closed_form(self, instance):
+        clips, preds = instance
+        assert evaluate(clips, preds, (math.inf,)).scores[math.inf] == closed_form_at_inf(
+            clips, preds
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda n: st.tuples(*(tied_instances(game=f"t/game-{i}") for i in range(n)))
+        )
+    )
+    def test_counts_add_up_over_games(self, games):
+        whole = evaluate(
+            [c for clips, _ in games for c in clips], [p for _, preds in games for p in preds]
+        )
+        parts = [evaluate(clips, preds) for clips, preds in games]
+        for delta in DEFAULT_DELTAS:
+            for label in RETAINED_CLASSES:
+                got = whole.scores[delta][label]
+                for field in ("tp", "fp", "gt"):
+                    assert getattr(got, field) == sum(
+                        getattr(part.scores[delta][label], field) for part in parts
+                    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_instances(), st.data())
+    def test_scores_depend_only_on_confidence_rank(self, instance, data):
+        clips, preds = instance
+        levels = sorted({p.confidence for p in preds})
+        new_levels = data.draw(
+            st.lists(
+                st.floats(0.0, 1.0), min_size=len(levels), max_size=len(levels), unique=True
+            ).map(sorted)
+        )
+        remap = dict(zip(levels, new_levels))  # strictly increasing into [0, 1]
+        mapped = [p._replace(confidence=remap[p.confidence]) for p in preds]
+        assert evaluate(clips, mapped).scores == evaluate(clips, preds).scores
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_instances())
+    def test_infinite_tolerance_finds_the_most(self, instance):
+        clips, preds = instance
+        report = evaluate(clips, preds)
+        for label in RETAINED_CLASSES:
+            at_inf = report.scores[math.inf][label].tp
+            assert all(at_inf >= report.scores[d][label].tp for d in DEFAULT_DELTAS)
