@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .config import NUM_CLASSES
 from .jsonio import brief, exact, read_json, write_text
@@ -90,20 +90,35 @@ def parse_label(raw: str) -> ActionClass:
         raise AnnotationError(f"unknown label {brief(raw)}") from None
 
 
-@dataclass(frozen=True)
-class ActionInstance:
-    """One annotated on-ball event, timed in milliseconds from its half start."""
-
+class _ActionFields(NamedTuple):
     game_id: str
     half: int
     time_ms: int
     label: ActionClass
 
-    def __post_init__(self) -> None:
-        if self.half not in (1, 2):
-            raise AnnotationError(f"half must be 1 or 2, got {self.half}")
-        if self.time_ms < 0:
-            raise AnnotationError(f"negative timestamp {self.time_ms}")
+
+class ActionInstance(_ActionFields):
+    """One annotated on-ball event, timed in milliseconds from its half start.
+
+    An immutable tuple subclass, like :class:`kickcast.metrics.Prediction`:
+    it unpacks as ``(game_id, half, time_ms, label)``.  Construction,
+    positional or by keyword, and so ``_make`` and ``_replace``, checks the
+    half and the time.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, game_id: str, half: int, time_ms: int, label: ActionClass) -> ActionInstance:
+        if half not in (1, 2):
+            raise AnnotationError(f"half must be 1 or 2, got {half}")
+        if time_ms < 0:
+            raise AnnotationError(f"negative timestamp {time_ms}")
+        return tuple.__new__(cls, (game_id, half, time_ms, label))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ActionInstance:
+        # namedtuple's own _make (and so _replace) would skip the checks
+        return cls(*iterable)
 
     @property
     def sort_key(self) -> tuple[int, int, str]:

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .annotations import RETAINED_CLASSES, ClassStats
+from .config import MAX_PREDICTIONS_PER_CLIP
+from .jsonio import brief
 from .metrics import Prediction
 from .windowing import EvalClip
 
@@ -86,7 +88,8 @@ class BaselineSpec:
     """Parameters of one baseline run.
 
     ``noise_std_s`` and ``drop_prob`` only affect the oracle; ``top_k`` only
-    the prior; ``per_clip`` only the random predictor.
+    the prior; ``per_clip`` only the random predictor, at most
+    :data:`~kickcast.config.MAX_PREDICTIONS_PER_CLIP`.
     """
 
     kind: str
@@ -105,8 +108,11 @@ class BaselineSpec:
             raise ValueError(f"drop_prob {self.drop_prob!r} outside [0, 1]")
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.per_clip < 1:
-            raise ValueError(f"per_clip must be >= 1, got {self.per_clip}")
+        if not 1 <= self.per_clip <= MAX_PREDICTIONS_PER_CLIP:
+            raise ValueError(
+                f"per_clip must be from 1 to {MAX_PREDICTIONS_PER_CLIP}, "
+                f"got {brief(self.per_clip)}"
+            )
 
 
 def _clip_rng(spec: BaselineSpec, clip: EvalClip) -> SplitMix64:

@@ -12,6 +12,10 @@ NUM_CLASSES = 10
 #: Largest slot count a config accepts: 4x the paper's 16 slots for a 10 s window.
 #: Target, loss and decoding work grow with it for every clip.
 MAX_QUERIES = 64
+#: Most predictions a synthetic baseline may emit per clip: the densest q x C
+#: decode (every class at every slot) at :data:`MAX_QUERIES`.  Scoring work
+#: and the predictions file grow with it for every clip.
+MAX_PREDICTIONS_PER_CLIP = MAX_QUERIES * NUM_CLASSES
 
 
 def default_query_count(anticipation_s: float) -> int:

@@ -316,7 +316,10 @@ def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
         anticipation_end_ms=exact(rec["anticipation_end_ms"], int, "anticipation_end_ms"),
         partial=exact(rec["partial"], bool, "partial"),
         gt_actions=tuple(
-            GtAction(parse_label(a["label"]), exact(a["offset_ms"], int, "offset_ms"))
+            GtAction(
+                parse_label(exact(a["label"], str, "label")),
+                exact(a["offset_ms"], int, "offset_ms"),
+            )
             for a in rec["gt_actions"]
         ),
     )
@@ -369,12 +372,12 @@ def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> No
 
 
 def _prediction(rec: dict) -> Prediction:
-    time_s, confidence = rec["time_s"], rec["confidence"]
-    if type(time_s) is not float or type(confidence) is not float:  # inline: the common case
+    time_s, confidence, label = rec["time_s"], rec["confidence"], rec["label"]
+    # inline: the common case pays for no call here
+    if type(time_s) is not float or type(confidence) is not float or type(label) is not str:
         time_s, confidence = number(time_s, "time_s"), number(confidence, "confidence")
-    return Prediction(
-        exact(rec["clip_id"], str, "clip_id"), parse_label(rec["label"]), time_s, confidence
-    )
+        exact(label, str, "label")
+    return Prediction(exact(rec["clip_id"], str, "clip_id"), parse_label(label), time_s, confidence)
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:

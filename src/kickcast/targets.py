@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .annotations import CLASS_INDEX
 from .config import NUM_CLASSES, BenchConfig
@@ -63,8 +63,7 @@ class Pairing(enum.Enum):
     ANCHOR_BINS = "anchor-bins"  # slot i is the i-th T_a/q bin, first action wins
 
 
-@dataclass(frozen=True)
-class SlotTarget:
+class SlotTarget(NamedTuple):
     """Supervision for one slot.
 
     ``None`` fields mean "no supervision for this quantity"; a slot with
@@ -134,8 +133,7 @@ HEADS: dict[HeadVariant, HeadSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Per-slot targets for one clip under one head variant.
 
     ``truncated`` records that some ground-truth actions could not be

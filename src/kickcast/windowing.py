@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .annotations import CLASS_INDEX, ActionClass, ActionInstance, GameAnnotations
 from .config import BenchConfig
@@ -23,8 +24,7 @@ from .config import BenchConfig
 EVAL_CONTEXT_MS = 30_000
 
 
-@dataclass(frozen=True)
-class GtAction:
+class GtAction(NamedTuple):
     """An action re-expressed as a millisecond offset inside a clip window."""
 
     label: ActionClass
@@ -35,8 +35,7 @@ class GtAction:
         return self.offset_ms / 1000.0
 
 
-@dataclass(frozen=True)
-class EvalClip:
+class EvalClip(NamedTuple):
     """One scoring unit: a context span plus the anticipation window that follows it."""
 
     game_id: str
@@ -72,8 +71,7 @@ class EvalClip:
         return self.window_len_ms / 1000.0
 
 
-@dataclass(frozen=True)
-class TrainClip:
+class TrainClip(NamedTuple):
     """A context span with its actions plus the future actions to supervise on."""
 
     game_id: str

@@ -18,6 +18,7 @@ from kickcast.baselines import (
     random_predictor,
     run_baseline,
 )
+from kickcast.config import MAX_PREDICTIONS_PER_CLIP
 from kickcast.metrics import evaluate
 
 
@@ -86,6 +87,7 @@ class TestBaselineSpec:
             {"kind": "oracle", "drop_prob": 1.5},
             {"kind": "prior", "top_k": 0},
             {"kind": "random", "per_clip": 0},
+            {"kind": "random", "per_clip": MAX_PREDICTIONS_PER_CLIP + 1},
         ],
     )
     def test_validation(self, kwargs):

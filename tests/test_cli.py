@@ -9,9 +9,10 @@ import shutil
 
 import pytest
 
+import kickcast.baselines as baselines
 import kickcast.cli as cli
 from kickcast.cli import main
-from kickcast.config import MAX_QUERIES, BenchConfig
+from kickcast.config import MAX_PREDICTIONS_PER_CLIP, MAX_QUERIES, NUM_CLASSES, BenchConfig
 from kickcast.fileio import read_eval_clips, read_predictions
 
 from conftest import FIXTURE_DIR, loss_check_doc
@@ -246,6 +247,31 @@ class TestBaselineCommand:
         )
         assert code == 2
         assert "drop_prob" in err
+
+    # 640 is q x C at MAX_QUERIES, 160 the paper's 16 slots x 10 classes.
+    @pytest.mark.parametrize(
+        "per_clip, accepted",
+        [(640, True), (160, True), (1, True), (641, False), (10**9, False), (0, False)],
+    )
+    def test_per_clip_bound(self, tmp_path, capsys, monkeypatch, per_clip, accepted):
+        assert MAX_PREDICTIONS_PER_CLIP == MAX_QUERIES * NUM_CLASSES == 640
+
+        # No predictions are generated: reaching the predictor shows the spec was accepted.
+        def stop(clips, spec):
+            raise RuntimeError(f"predictor reached with per_clip={spec.per_clip}")
+
+        monkeypatch.setattr(baselines, "random_predictor", stop)
+        out = tmp_path / "x.json"
+        argv = ["baseline", str(FIXTURE_DIR), "--kind", "random", "--per-clip", str(per_clip)]
+        argv += ["--out", str(out)]
+        if accepted:
+            with pytest.raises(RuntimeError, match=f"per_clip={per_clip}$"):
+                main(argv)
+        else:
+            code, _, err = run(argv, capsys)
+            assert code == 2
+            assert err == f"kickcast: error: per_clip must be from 1 to 640, got {per_clip}\n"
+        assert not out.exists()
 
 
 class TestEvaluateCommand:
@@ -660,6 +686,30 @@ class TestBadInput:
         self.assert_one_error_line(code, err)
         assert err.count(f"{bad}: prediction #0: ") == 1
         assert "clip_id must be a string" in err
+
+    @pytest.mark.parametrize(
+        "label, shown", [([1], "[1]"), (5, "5"), (None, "None")], ids=["list", "int", "null"]
+    )
+    @pytest.mark.parametrize("file", ["predictions", "eval-clips"])
+    def test_non_string_label(
+        self, tmp_path, capsys, clips_file, oracle_file, file, label, shown
+    ):
+        if file == "predictions":
+            doc = json.loads(oracle_file.read_text())
+            doc["predictions"][0]["label"] = label
+            what = "prediction"
+        else:
+            doc = json.loads(clips_file.read_text())
+            doc["clips"] = [next(c for c in doc["clips"] if c["gt_actions"])]
+            doc["clips"][0]["gt_actions"][0]["label"] = label
+            what = "clip"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        gt, pred = (clips_file, bad) if file == "predictions" else (bad, oracle_file)
+        code, out, err = run(["evaluate", "--gt", str(gt), "--pred", str(pred)], capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert err == f"kickcast: error: {bad}: {what} #0: label must be a string, got {shown}\n"
 
     @pytest.mark.parametrize("key", ["time_s", "confidence"])
     def test_huge_integer_prediction_field(self, tmp_path, capsys, clips_file, oracle_file, key):
