@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .config import NUM_CLASSES
+from .config import MAX_HALF_MS, NUM_CLASSES
 from .jsonio import brief, exact, read_json, write_text
 
 SPLITS = ("train", "valid", "test", "challenge")
@@ -199,6 +199,10 @@ def _parse_record(record: object, game_id: str, durations: Mapping[int, int]) ->
         raise AnnotationError(
             f"time {brief(time_ms)} ms exceeds half {half} duration {brief(duration)} ms"
         )
+    if time_ms > MAX_HALF_MS:
+        raise AnnotationError(
+            f"time {brief(time_ms)} ms exceeds the longest half, {MAX_HALF_MS} ms"
+        )
     return ActionInstance(half=half, time_ms=time_ms, label=label, game_id=game_id)
 
 
@@ -211,6 +215,10 @@ def _parse_durations(raw: object) -> dict[int, int]:
             raise AnnotationError(f"half key must be \"1\" or \"2\", got {brief(key)}")
         if exact(value, int, "half duration") < 0:
             raise AnnotationError(f"half duration must be non-negative, got {brief(value)}")
+        if value > MAX_HALF_MS:
+            raise AnnotationError(
+                f"half duration must be at most {MAX_HALF_MS} ms, got {brief(value)}"
+            )
         durations[int(key)] = value
     return durations
 

@@ -21,17 +21,22 @@ randomness comes from an explicitly documented generator instead of
 * Per-clip streams are seeded with ``seed XOR FNV1a64(kind + ":" + clip_id)``
   so clip order and parallelism cannot change the output.
 
-The per-action draw order in the oracle is: one uniform for the drop
-decision; if kept and noise_std_s > 0, one normal deviate for the noise.
+Each kind is a generator of one clip's ``(label, time_s, confidence)``
+draws, looked up by kind in one table; :func:`run_baseline` is the one loop
+over clips.  The per-action draw order in the oracle is: one uniform for the
+drop decision; if kept and noise_std_s > 0, one normal deviate for the noise.
+Each random prediction draws a u64 for the class (mod the class count), then
+a uniform for the time and one for the confidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterator, Sequence
 
-from .annotations import RETAINED_CLASSES, ClassStats
+from .annotations import RETAINED_CLASSES, ActionClass, ClassStats
 from .config import MAX_PREDICTIONS_PER_CLIP
 from .jsonio import brief
 from .metrics import Prediction
@@ -80,9 +85,6 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-BASELINE_KINDS = ("oracle", "prior", "random")
-
-
 @dataclass(frozen=True)
 class BaselineSpec:
     """Parameters of one baseline run.
@@ -115,80 +117,42 @@ class BaselineSpec:
             )
 
 
-def _clip_rng(spec: BaselineSpec, clip: EvalClip) -> SplitMix64:
-    return SplitMix64(spec.seed ^ fnv1a64(f"{spec.kind}:{clip.clip_id}"))
+#: The prior's ``(label, confidence)`` pairs, most frequent class first.
+_Ranking = Sequence[tuple[ActionClass, float]]
+#: One clip's predictions as ``(label, time_s, confidence)``, in output order.
+_Draws = Iterator[tuple[ActionClass, float, float]]
 
 
-def _canonical(clips: Iterable[EvalClip]) -> list[EvalClip]:
-    return sorted(clips, key=lambda c: c.sort_key)
-
-
-def oracle_predictor(clips: Iterable[EvalClip], spec: BaselineSpec) -> list[Prediction]:
+def _oracle(clip: EvalClip, spec: BaselineSpec, rng: SplitMix64, ranked: _Ranking) -> _Draws:
     """Ground truth with optional Gaussian time noise and random drops."""
-    preds: list[Prediction] = []
-    for clip in _canonical(clips):
-        rng = _clip_rng(spec, clip)
-        limit = clip.window_len_s
-        for action in clip.gt_actions:
-            if rng.next_float() < spec.drop_prob:
-                continue
+    limit = clip.window_len_s
+    for action in clip.gt_actions:
+        if rng.next_float() >= spec.drop_prob:
             time_s = action.offset_s
             if spec.noise_std_s > 0.0:
                 time_s += rng.next_gauss() * spec.noise_std_s
-            preds.append(
-                Prediction(
-                    clip_id=clip.clip_id,
-                    label=action.label,
-                    time_s=min(max(time_s, 0.0), limit),
-                    confidence=1.0,
-                )
-            )
-    return preds
+            yield action.label, min(max(time_s, 0.0), limit), 1.0
 
 
-def prior_predictor(
-    train_stats: ClassStats, clips: Iterable[EvalClip], spec: BaselineSpec
-) -> list[Prediction]:
-    """The ``top_k`` most frequent training classes at evenly spread times.
-
-    The j-th most frequent class is predicted at the centre of the j-th of
-    ``top_k`` equal time bins, with confidence count / train total.
-    """
-    train = train_stats.counts.get("train")
-    if not train:
-        raise ValueError("prior baseline needs train-split statistics")
-    total = sum(train.values())
-    ranked = sorted(train, key=lambda c: (-train[c], c.value))[: spec.top_k]
-    preds: list[Prediction] = []
-    for clip in _canonical(clips):
-        span = clip.window_len_s
-        k = len(ranked)
-        for j, label in enumerate(ranked):
-            preds.append(
-                Prediction(
-                    clip_id=clip.clip_id,
-                    label=label,
-                    time_s=(j + 0.5) * span / k,
-                    confidence=train[label] / total,
-                )
-            )
-    return preds
+def _prior(clip: EvalClip, spec: BaselineSpec, rng: SplitMix64, ranked: _Ranking) -> _Draws:
+    """The j-th of the ranked classes at the centre of the j-th of k equal time bins."""
+    span = clip.window_len_s
+    k = len(ranked)
+    for j, (label, confidence) in enumerate(ranked):
+        yield label, (j + 0.5) * span / k, confidence
 
 
-def random_predictor(clips: Iterable[EvalClip], spec: BaselineSpec) -> list[Prediction]:
-    """``per_clip`` uniform draws of class, time and confidence per clip."""
-    preds: list[Prediction] = []
-    for clip in _canonical(clips):
-        rng = _clip_rng(spec, clip)
-        span = clip.window_len_s
-        for _ in range(spec.per_clip):
-            label = RETAINED_CLASSES[rng.next_u64() % len(RETAINED_CLASSES)]
-            time_s = rng.next_float() * span
-            confidence = rng.next_float()
-            preds.append(
-                Prediction(clip_id=clip.clip_id, label=label, time_s=time_s, confidence=confidence)
-            )
-    return preds
+def _random(clip: EvalClip, spec: BaselineSpec, rng: SplitMix64, ranked: _Ranking) -> _Draws:
+    """``per_clip`` uniform draws of class, time and confidence."""
+    span = clip.window_len_s
+    for _ in range(spec.per_clip):
+        label = RETAINED_CLASSES[rng.next_u64() % len(RETAINED_CLASSES)]
+        yield label, rng.next_float() * span, rng.next_float()
+
+
+#: kind -> the generator of one clip's draws from its own stream.
+_DRAWS = {"oracle": _oracle, "prior": _prior, "random": _random}
+BASELINE_KINDS = tuple(_DRAWS)
 
 
 def run_baseline(
@@ -196,11 +160,24 @@ def run_baseline(
     spec: BaselineSpec,
     train_stats: ClassStats | None = None,
 ) -> list[Prediction]:
-    """Dispatch on ``spec.kind``; the prior additionally needs train stats."""
-    if spec.kind == "oracle":
-        return oracle_predictor(clips, spec)
+    """The ``spec.kind`` predictions for ``clips``, in canonical clip order.
+
+    The prior needs ``train_stats`` with a train split: it ranks the ``top_k``
+    most frequent training classes, with confidence count / train total.
+    """
+    ranked: _Ranking = ()
     if spec.kind == "prior":
-        if train_stats is None:
-            raise ValueError("prior baseline needs class statistics")
-        return prior_predictor(train_stats, clips, spec)
-    return random_predictor(clips, spec)
+        train = train_stats.counts.get("train") if train_stats is not None else None
+        if not train:
+            raise ValueError("prior baseline needs train-split statistics")
+        total = sum(train.values())
+        top = sorted(train, key=lambda c: (-train[c], c.value))[: spec.top_k]
+        ranked = [(label, train[label] / total) for label in top]
+    draw = _DRAWS[spec.kind]
+    preds: list[Prediction] = []
+    for clip in sorted(clips, key=attrgetter("sort_key")):
+        clip_id = clip.clip_id
+        rng = SplitMix64(spec.seed ^ fnv1a64(f"{spec.kind}:{clip_id}"))
+        for label, time_s, confidence in draw(clip, spec, rng, ranked):
+            preds.append(Prediction(clip_id, label, time_s, confidence))
+    return preds

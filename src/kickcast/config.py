@@ -16,6 +16,11 @@ MAX_QUERIES = 64
 #: decode (every class at every slot) at :data:`MAX_QUERIES`.  Scoring work
 #: and the predictions file grow with it for every clip.
 MAX_PREDICTIONS_PER_CLIP = MAX_QUERIES * NUM_CLASSES
+#: Longest half an annotation file may declare or time an action in: 2 h, a
+#: 45-minute half plus any stoppage time.  Tiling work grows with the half
+#: length, and it keeps every clip id's ``{start:07d}`` at 7 digits, so that
+#: clip ids sort in time order.
+MAX_HALF_MS = 7_200_000
 
 
 def default_query_count(anticipation_s: float) -> int:

@@ -209,7 +209,11 @@ def _read_records(doc: dict, key: str, path: str | Path, what: str, read: Callab
             if not isinstance(rec, dict):
                 raise TypeError("must be an object")
             records.append(read(rec))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise FileFormatError(
+            f"{path}: {what} #{len(records)}: missing field {exc.args[0]!r}"
+        ) from exc
+    except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: {what} #{len(records)}: {exc}") from exc
     return records
 

@@ -334,12 +334,14 @@ def assign_for_variant(
     for i, k in pairs:
         action = gt[k]
         c = _class_idx(action)
+        # (gt_index, actionness, class_index, class_multihot, time), built
+        # positionally: a NamedTuple takes keywords at about twice the cost.
         slots[i] = SlotTarget(
-            gt_index=k,
-            actionness=1.0,
-            class_index=None if multihot else c,
-            class_multihot=ONE_HOT[c] if multihot else None,
-            time=(action.offset_ms * scale - i * step) / ta_ms,
+            k,
+            1.0,
+            None if multihot else c,
+            ONE_HOT[c] if multihot else None,
+            (action.offset_ms * scale - i * step) / ta_ms,
         )
     if spec.eos:
         # Slot len(pairs) is the EoS slot (see HeadSpec); none after it is supervised.

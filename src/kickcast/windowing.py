@@ -133,16 +133,7 @@ def make_eval_clips(game: GameAnnotations, cfg: BenchConfig) -> list[EvalClip]:
             while pos < len(actions) and actions[pos].time_ms < end:
                 gt.append(GtAction(actions[pos].label, actions[pos].time_ms - start))
                 pos += 1
-            clips.append(
-                EvalClip(
-                    game_id=game.game_id,
-                    half=half,
-                    anticipation_start_ms=start,
-                    anticipation_end_ms=end,
-                    partial=end - start < ta_ms,
-                    gt_actions=tuple(gt),
-                )
-            )
+            clips.append(EvalClip(game.game_id, half, start, end, end - start < ta_ms, tuple(gt)))
     return clips
 
 
@@ -170,16 +161,7 @@ def make_train_clips(game: GameAnnotations, cfg: BenchConfig) -> list[TrainClip]
             hi = bisect_left(times, ctx_end + ta_ms, mid)
             context = tuple(GtAction(a.label, a.time_ms - start) for a in actions[lo:mid])
             future = tuple(GtAction(a.label, a.time_ms - ctx_end) for a in actions[mid:hi])
-            clips.append(
-                TrainClip(
-                    game_id=game.game_id,
-                    half=half,
-                    context_start_ms=start,
-                    context_end_ms=ctx_end,
-                    context_actions=context,
-                    future_actions=future,
-                )
-            )
+            clips.append(TrainClip(game.game_id, half, start, ctx_end, context, future))
     return clips
 
 

@@ -20,7 +20,7 @@ from kickcast.annotations import (
     parse_label,
     stats_from_counts,
 )
-from kickcast.baselines import BaselineSpec, oracle_predictor
+from kickcast.baselines import BaselineSpec, run_baseline
 from kickcast.config import BenchConfig
 from kickcast.losses import LossParts, SlotOutput, loss_class, loss_detection, total_loss
 from kickcast.metrics import Prediction, average_precision, evaluate, match_window
@@ -48,7 +48,7 @@ def test_perfect_oracle_identity(capsys, corpus, cfg):
     with announced(capsys, "1/8 perfect-oracle identity (AP == 1.0, < 1 s)"):
         started = time.perf_counter()
         clips = [c for g in corpus for c in make_eval_clips(g, cfg)]
-        preds = oracle_predictor(clips, BaselineSpec(kind="oracle"))
+        preds = run_baseline(clips, BaselineSpec(kind="oracle"))
         report = evaluate(clips, preds)
         elapsed = time.perf_counter() - started
 

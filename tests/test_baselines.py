@@ -13,9 +13,6 @@ from kickcast.baselines import (
     BaselineSpec,
     SplitMix64,
     fnv1a64,
-    oracle_predictor,
-    prior_predictor,
-    random_predictor,
     run_baseline,
 )
 from kickcast.config import MAX_PREDICTIONS_PER_CLIP
@@ -97,7 +94,7 @@ class TestBaselineSpec:
 
 class TestOracle:
     def test_exact_echo_without_noise(self, eval_clips):
-        preds = oracle_predictor(eval_clips, BaselineSpec(kind="oracle"))
+        preds = run_baseline(eval_clips, BaselineSpec(kind="oracle"))
         assert len(preds) == sum(len(c.gt_actions) for c in eval_clips)
         truth = {
             (c.clip_id, a.label, a.offset_s) for c in eval_clips for a in c.gt_actions
@@ -107,33 +104,33 @@ class TestOracle:
 
     def test_drop_one_empties_output(self, eval_clips):
         spec = BaselineSpec(kind="oracle", drop_prob=1.0)
-        assert oracle_predictor(eval_clips, spec) == []
+        assert run_baseline(eval_clips, spec) == []
 
     def test_drop_rate_roughly_honoured(self, eval_clips):
         spec = BaselineSpec(kind="oracle", drop_prob=0.5, seed=3)
-        preds = oracle_predictor(eval_clips, spec)
+        preds = run_baseline(eval_clips, spec)
         total = sum(len(c.gt_actions) for c in eval_clips)
         assert 0.35 * total < len(preds) < 0.65 * total
 
     def test_noise_clamped_to_window(self, eval_clips):
         spec = BaselineSpec(kind="oracle", noise_std_s=50.0, seed=1)
-        for p in oracle_predictor(eval_clips, spec):
+        for p in run_baseline(eval_clips, spec):
             clip_len = next(
                 c.window_len_s for c in eval_clips if c.clip_id == p.clip_id
             )
             assert 0.0 <= p.time_s <= clip_len
 
     def test_seed_changes_output(self, eval_clips):
-        a = oracle_predictor(eval_clips, BaselineSpec(kind="oracle", noise_std_s=1.0, seed=1))
-        b = oracle_predictor(eval_clips, BaselineSpec(kind="oracle", noise_std_s=1.0, seed=2))
+        a = run_baseline(eval_clips, BaselineSpec(kind="oracle", noise_std_s=1.0, seed=1))
+        b = run_baseline(eval_clips, BaselineSpec(kind="oracle", noise_std_s=1.0, seed=2))
         assert a != b
 
     def test_clip_order_does_not_matter(self, eval_clips):
         spec = BaselineSpec(kind="oracle", noise_std_s=1.0, drop_prob=0.2, seed=11)
-        base = oracle_predictor(eval_clips, spec)
+        base = run_baseline(eval_clips, spec)
         shuffled = list(eval_clips)
         random.Random(4).shuffle(shuffled)
-        assert oracle_predictor(shuffled, spec) == base
+        assert run_baseline(shuffled, spec) == base
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +141,7 @@ def stats(corpus):
 class TestPrior:
     def test_ranking_and_confidence(self, stats, eval_clips):
         spec = BaselineSpec(kind="prior", top_k=3)
-        preds = prior_predictor(stats, eval_clips[:1], spec)
+        preds = run_baseline(eval_clips[:1], spec, stats)
         train = stats.counts["train"]
         ranked = sorted(train, key=lambda c: (-train[c], c.value))[:3]
         assert [p.label for p in preds] == ranked
@@ -154,7 +151,7 @@ class TestPrior:
     def test_times_spread_over_window(self, stats, eval_clips):
         clip = eval_clips[0]
         spec = BaselineSpec(kind="prior", top_k=4)
-        preds = prior_predictor(stats, [clip], spec)
+        preds = run_baseline([clip], spec, stats)
         span = clip.window_len_s
         assert [p.time_s for p in preds] == [
             pytest.approx((j + 0.5) * span / 4) for j in range(4)
@@ -164,7 +161,7 @@ class TestPrior:
         bad = stats_from_counts({"train": {ActionClass.PASS: 1}})
         hollow = type(bad)(counts={"test": {ActionClass.PASS: 1}}, weights=bad.weights)
         with pytest.raises(ValueError, match="train"):
-            prior_predictor(hollow, eval_clips, BaselineSpec(kind="prior"))
+            run_baseline(eval_clips, BaselineSpec(kind="prior"), hollow)
 
     def test_run_baseline_requires_stats(self, eval_clips):
         with pytest.raises(ValueError, match="statistics"):
@@ -174,7 +171,7 @@ class TestPrior:
 class TestRandom:
     def test_count_and_ranges(self, eval_clips):
         spec = BaselineSpec(kind="random", per_clip=3, seed=8)
-        preds = random_predictor(eval_clips, spec)
+        preds = run_baseline(eval_clips, spec)
         assert len(preds) == 3 * len(eval_clips)
         by_clip = {c.clip_id: c for c in eval_clips}
         for p in preds:
@@ -183,11 +180,11 @@ class TestRandom:
 
     def test_deterministic(self, eval_clips):
         spec = BaselineSpec(kind="random", seed=8)
-        assert random_predictor(eval_clips, spec) == random_predictor(eval_clips, spec)
+        assert run_baseline(eval_clips, spec) == run_baseline(eval_clips, spec)
 
     def test_all_classes_reachable(self, eval_clips):
         spec = BaselineSpec(kind="random", per_clip=5, seed=8)
-        labels = {p.label for p in random_predictor(eval_clips, spec)}
+        labels = {p.label for p in run_baseline(eval_clips, spec)}
         assert len(labels) == 10
 
 
@@ -208,7 +205,7 @@ class TestOrdering:
         # frozen from this fixture corpus' first scored run; guards the RNG,
         # decoding and matching pipeline against silent drift
         spec = BaselineSpec(kind="oracle", noise_std_s=1.0, drop_prob=0.0, seed=42)
-        report = evaluate(eval_clips, oracle_predictor(eval_clips, spec))
+        report = evaluate(eval_clips, run_baseline(eval_clips, spec))
         assert report.map_at[1.0] == pytest.approx(0.2766884791834542, abs=1e-9)
         assert report.map_at[5.0] == pytest.approx(0.9921093407240799, abs=1e-9)
         assert report.average == pytest.approx(0.7826797931059707, abs=1e-9)

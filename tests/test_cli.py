@@ -9,10 +9,16 @@ import shutil
 
 import pytest
 
-import kickcast.baselines as baselines
 import kickcast.cli as cli
+from kickcast.annotations import format_game_time
 from kickcast.cli import main
-from kickcast.config import MAX_PREDICTIONS_PER_CLIP, MAX_QUERIES, NUM_CLASSES, BenchConfig
+from kickcast.config import (
+    MAX_HALF_MS,
+    MAX_PREDICTIONS_PER_CLIP,
+    MAX_QUERIES,
+    NUM_CLASSES,
+    BenchConfig,
+)
 from kickcast.fileio import read_eval_clips, read_predictions
 
 from conftest import FIXTURE_DIR, loss_check_doc
@@ -257,10 +263,10 @@ class TestBaselineCommand:
         assert MAX_PREDICTIONS_PER_CLIP == MAX_QUERIES * NUM_CLASSES == 640
 
         # No predictions are generated: reaching the predictor shows the spec was accepted.
-        def stop(clips, spec):
+        def stop(clips, spec, train_stats):
             raise RuntimeError(f"predictor reached with per_clip={spec.per_clip}")
 
-        monkeypatch.setattr(baselines, "random_predictor", stop)
+        monkeypatch.setattr(cli, "run_baseline", stop)
         out = tmp_path / "x.json"
         argv = ["baseline", str(FIXTURE_DIR), "--kind", "random", "--per-clip", str(per_clip)]
         argv += ["--out", str(out)]
@@ -753,6 +759,68 @@ class TestBadInput:
         code, _, err = run([*argv, "--out", str(out)], capsys)
         self.assert_one_error_line(code, err)
         assert f"queries must be from 1 to {MAX_QUERIES}, got {queries}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "reader, field",
+        [("predictions", "label"), ("eval-clips", "partial"), ("loss-check", "time_raw")],
+    )
+    def test_missing_field(self, tmp_path, capsys, clips_file, oracle_file, reader, field):
+        bad = tmp_path / "bad.json"
+        if reader == "predictions":
+            doc = json.loads(oracle_file.read_text())
+            records, what = doc["predictions"], "prediction"
+            argv = ["evaluate", "--gt", str(clips_file), "--pred", str(bad)]
+        elif reader == "eval-clips":
+            doc = json.loads(clips_file.read_text())
+            records, what = doc["clips"], "clip"
+            argv = ["evaluate", "--gt", str(bad), "--pred", str(oracle_file)]
+        else:
+            doc = loss_check_doc()
+            records, what = doc["clips"][0]["outputs"], "clip"
+            argv = ["loss-check", str(bad)]
+        records[0] = {k: v for k, v in records[0].items() if k != field}
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(argv, capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert err == f"kickcast: error: {bad}: {what} #0: missing field {field!r}\n"
+
+    # The limit is checked on read: tiling a 10^15 ms half would never end.
+    @pytest.mark.parametrize(
+        "where, ms",
+        [
+            ("duration", MAX_HALF_MS),
+            ("duration", MAX_HALF_MS + 1),
+            ("duration", 10**15),
+            ("action", MAX_HALF_MS),
+            ("action", MAX_HALF_MS + 1),
+        ],
+    )
+    def test_half_length_bound(self, tmp_path, capsys, monkeypatch, where, ms):
+        def stop(game, cfg):
+            raise RuntimeError(f"tiling reached for {game.game_id}")
+
+        monkeypatch.setattr(cli, "make_eval_clips", stop)
+        doc = {"gameId": "g", "annotations": []}
+        if where == "duration":
+            doc["halfDurationsMs"] = {"1": ms}
+            error = f"half duration must be at most {MAX_HALF_MS} ms, got {ms}"
+        else:
+            record = {"gameTime": format_game_time(1, ms), "position": ms, "label": "Pass"}
+            doc["annotations"].append(record)
+            error = f"annotation #0: time {ms} ms exceeds the longest half, {MAX_HALF_MS} ms"
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "clips.json"
+        argv = ["prepare", str(path), "--out", str(out)]
+        if ms <= MAX_HALF_MS:
+            with pytest.raises(RuntimeError, match="tiling reached for g$"):
+                main(argv)
+        else:
+            code, _, err = run(argv, capsys)
+            self.assert_one_error_line(code, err)
+            assert err == f"kickcast: error: {path}: {error}\n"
         assert not out.exists()
 
     def test_directory_named_like_annotation_file(self, tmp_path, capsys):

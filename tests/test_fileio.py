@@ -18,11 +18,12 @@ import kickcast.fileio as fileio
 from kickcast.annotations import (
     ActionClass,
     AnnotationError,
+    format_game_time,
     parse_annotations_dict,
     serialize_annotations,
 )
-from kickcast.baselines import BaselineSpec, oracle_predictor
-from kickcast.config import MAX_QUERIES, BenchConfig
+from kickcast.baselines import BaselineSpec, run_baseline
+from kickcast.config import MAX_HALF_MS, MAX_QUERIES, BenchConfig
 from kickcast.fileio import (
     FORMAT_EVAL_CLIPS,
     FileFormatError,
@@ -115,7 +116,7 @@ def validator_for(name, registry):
 @pytest.fixture(scope="module")
 def some_predictions(eval_clips):
     spec = BaselineSpec(kind="oracle", noise_std_s=0.4, drop_prob=0.1, seed=6)
-    return oracle_predictor(eval_clips, spec)
+    return run_baseline(eval_clips, spec)
 
 
 class TestCanonicalJson:
@@ -841,6 +842,26 @@ class TestSchemas:
         (doc if key == "halfDurationsMs" else record)[key] = value
         assert not validator.is_valid(doc)
         with pytest.raises(AnnotationError):
+            parse_annotations_dict(doc)
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["2h", "2h+1ms"])
+    @pytest.mark.parametrize("where", ["duration", "position"])
+    def test_half_length_limit(self, schema_registry, where, over):
+        validator = validator_for("annotations", schema_registry)
+        ms = MAX_HALF_MS + over
+        doc = {"gameId": "g", "annotations": []}
+        if where == "duration":
+            doc["halfDurationsMs"] = {"1": ms}
+            match = f"half duration must be at most {MAX_HALF_MS} ms, got {ms}"
+        else:
+            record = {"gameTime": format_game_time(1, ms), "position": ms, "label": "Pass"}
+            doc["annotations"].append(record)
+            match = f"time {ms} ms exceeds the longest half, {MAX_HALF_MS} ms"
+        assert validator.is_valid(doc) is not over
+        if over:
+            with pytest.raises(AnnotationError, match=match):
+                parse_annotations_dict(doc)
+        else:
             parse_annotations_dict(doc)
 
     def test_schema_rejects_wrong_format_tag(self, schema_registry, eval_clips):
