@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .config import MAX_HALF_MS, NUM_CLASSES
-from .jsonio import brief, exact, read_json, write_text
+from .jsonio import FileFormatError, brief, exact, read_json, write_text
 
 SPLITS = ("train", "valid", "test", "challenge")
 
@@ -258,6 +258,28 @@ def parse_annotations(path: str | Path) -> GameAnnotations:
         return parse_annotations_dict(doc, default_game_id=Path(path).stem)
     except AnnotationError as exc:
         raise AnnotationError(f"{path}: {exc}") from None
+
+
+def load_corpus(paths: Iterable[str | Path]) -> list[GameAnnotations]:
+    """The class-filtered games of the annotation files in ``paths``, in argument order.
+
+    A directory stands for its ``*.json`` files in sorted order, not recursing.
+    Game ids must be unique across all the inputs.
+    """
+    games: dict[str, GameAnnotations] = {}
+    for raw in paths:
+        path = Path(raw)
+        if not path.exists():
+            raise FileFormatError(f"{path}: no such file")
+        files = sorted(path.glob("*.json")) if path.is_dir() else [path]
+        if not files:
+            raise FileFormatError(f"{path}: directory contains no .json files")
+        for file in files:
+            game = filter_classes(parse_annotations(file))
+            if game.game_id in games:
+                raise AnnotationError(f"duplicate game id {brief(game.game_id)} in inputs")
+            games[game.game_id] = game
+    return list(games.values())
 
 
 def serialize_annotations(game: GameAnnotations) -> dict:

@@ -123,8 +123,14 @@ _Ranking = Sequence[tuple[ActionClass, float]]
 _Draws = Iterator[tuple[ActionClass, float, float]]
 
 
-def _oracle(clip: EvalClip, spec: BaselineSpec, rng: SplitMix64, ranked: _Ranking) -> _Draws:
+def _stream(spec: BaselineSpec, clip_id: str) -> SplitMix64:
+    """The clip's own stream, seeded with ``seed XOR FNV1a64(kind:clip_id)``."""
+    return SplitMix64(spec.seed ^ fnv1a64(f"{spec.kind}:{clip_id}"))
+
+
+def _oracle(clip: EvalClip, spec: BaselineSpec, ranked: _Ranking) -> _Draws:
     """Ground truth with optional Gaussian time noise and random drops."""
+    rng = _stream(spec, clip.clip_id)
     limit = clip.window_len_s
     for action in clip.gt_actions:
         if rng.next_float() >= spec.drop_prob:
@@ -134,7 +140,7 @@ def _oracle(clip: EvalClip, spec: BaselineSpec, rng: SplitMix64, ranked: _Rankin
             yield action.label, min(max(time_s, 0.0), limit), 1.0
 
 
-def _prior(clip: EvalClip, spec: BaselineSpec, rng: SplitMix64, ranked: _Ranking) -> _Draws:
+def _prior(clip: EvalClip, spec: BaselineSpec, ranked: _Ranking) -> _Draws:
     """The j-th of the ranked classes at the centre of the j-th of k equal time bins."""
     span = clip.window_len_s
     k = len(ranked)
@@ -142,15 +148,16 @@ def _prior(clip: EvalClip, spec: BaselineSpec, rng: SplitMix64, ranked: _Ranking
         yield label, (j + 0.5) * span / k, confidence
 
 
-def _random(clip: EvalClip, spec: BaselineSpec, rng: SplitMix64, ranked: _Ranking) -> _Draws:
+def _random(clip: EvalClip, spec: BaselineSpec, ranked: _Ranking) -> _Draws:
     """``per_clip`` uniform draws of class, time and confidence."""
+    rng = _stream(spec, clip.clip_id)
     span = clip.window_len_s
     for _ in range(spec.per_clip):
         label = RETAINED_CLASSES[rng.next_u64() % len(RETAINED_CLASSES)]
         yield label, rng.next_float() * span, rng.next_float()
 
 
-#: kind -> the generator of one clip's draws from its own stream.
+#: kind -> the generator of one clip's draws.
 _DRAWS = {"oracle": _oracle, "prior": _prior, "random": _random}
 BASELINE_KINDS = tuple(_DRAWS)
 
@@ -169,7 +176,7 @@ def run_baseline(
     if spec.kind == "prior":
         train = train_stats.counts.get("train") if train_stats is not None else None
         if not train:
-            raise ValueError("prior baseline needs train-split statistics")
+            raise ValueError("prior baseline needs statistics of train-split games")
         total = sum(train.values())
         top = sorted(train, key=lambda c: (-train[c], c.value))[: spec.top_k]
         ranked = [(label, train[label] / total) for label in top]
@@ -177,7 +184,6 @@ def run_baseline(
     preds: list[Prediction] = []
     for clip in sorted(clips, key=attrgetter("sort_key")):
         clip_id = clip.clip_id
-        rng = SplitMix64(spec.seed ^ fnv1a64(f"{spec.kind}:{clip_id}"))
-        for label, time_s, confidence in draw(clip, spec, rng, ranked):
+        for label, time_s, confidence in draw(clip, spec, ranked):
             preds.append(Prediction(clip_id, label, time_s, confidence))
     return preds

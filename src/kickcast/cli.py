@@ -25,7 +25,7 @@ import sys
 from dataclasses import asdict
 from typing import Sequence
 
-from .annotations import GameAnnotations, class_stats, filter_classes, parse_annotations
+from .annotations import GameAnnotations, class_stats, load_corpus
 from .baselines import BASELINE_KINDS, BaselineSpec, run_baseline
 from .config import BenchConfig
 from .fileio import (
@@ -33,7 +33,6 @@ from .fileio import (
     VERSION,
     dump_json,
     format_delta,
-    iter_annotation_files,
     parse_delta,
     read_eval_clips,
     read_loss_check,
@@ -43,7 +42,6 @@ from .fileio import (
     write_targets,
     write_text,
 )
-from .jsonio import brief
 from .losses import (
     LossError,
     LossParts,
@@ -62,20 +60,12 @@ def _add_ta_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ta", type=float, default=5.0, help="anticipation length in seconds")
 
 
-def _load_corpus(paths: Sequence[str], split: str | None) -> list[GameAnnotations]:
-    games = [filter_classes(parse_annotations(p)) for p in iter_annotation_files(paths)]
-    if split is not None:
-        games = [g for g in games if g.split == split]
-    if not games:
-        raise ValueError(
-            "no games to process" + (f" in split {split!r}" if split else "")
-        )
-    seen: set[str] = set()
-    for game in games:
-        if game.game_id in seen:
-            raise ValueError(f"duplicate game id {brief(game.game_id)} in inputs")
-        seen.add(game.game_id)
-    return games
+def _split(games: Sequence[GameAnnotations], split: str | None) -> list[GameAnnotations]:
+    """The games of ``split``, or all of them for None; finding none is an error."""
+    chosen = [g for g in games if split is None or g.split == split]
+    if not chosen:
+        raise ValueError(f"no games to process in split {split!r}")
+    return chosen
 
 
 def _eval_clips(games: Sequence[GameAnnotations], cfg: BenchConfig) -> list:
@@ -95,7 +85,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = BenchConfig(anticipation_s=args.ta)
-    games = _load_corpus(args.annotations, args.split)
+    games = _split(load_corpus(args.annotations), args.split)
     write_eval_clips(args.out, _eval_clips(games, cfg), cfg)
     return 0
 
@@ -110,7 +100,7 @@ def cmd_targets(args: argparse.Namespace) -> int:
     cfg = BenchConfig(
         context_s=args.tc, anticipation_s=args.ta, fps=args.fps, queries=args.queries
     )
-    games = _load_corpus(args.annotations, args.split)
+    games = _split(load_corpus(args.annotations), args.split)
     records = []
     for game in games:
         for clip in make_train_clips(game, cfg):
@@ -163,17 +153,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         per_clip=args.per_clip,
     )
     cfg = BenchConfig(anticipation_s=args.ta)
-    games = _load_corpus(args.annotations, None)
-    scored = [g for g in games if args.split is None or g.split == args.split]
-    if not scored:
-        raise ValueError(f"no games in split {args.split!r}")
-    stats = None
-    if spec.kind == "prior":
-        train_games = [g for g in games if g.split == "train"]
-        if not train_games:
-            raise ValueError("prior baseline needs train-split games in the inputs")
-        stats = class_stats(train_games)
-    predictions = run_baseline(_eval_clips(scored, cfg), spec, stats)
+    games = load_corpus(args.annotations)
+    train = [g for g in games if g.split == "train"]
+    stats = class_stats(train) if spec.kind == "prior" and train else None
+    predictions = run_baseline(_eval_clips(_split(games, args.split), cfg), spec, stats)
     write_predictions(args.out, predictions)
     return 0
 

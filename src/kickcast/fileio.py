@@ -38,7 +38,7 @@ import json
 import math
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable
 
 from .annotations import parse_label
 from .config import BenchConfig
@@ -218,21 +218,6 @@ def _read_records(doc: dict, key: str, path: str | Path, what: str, read: Callab
     return records
 
 
-def iter_annotation_files(paths: Sequence[str | Path]) -> Iterator[Path]:
-    """Expand files and directories (non-recursive ``*.json``) into file paths."""
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            found = sorted(path.glob("*.json"))
-            if not found:
-                raise FileFormatError(f"{path}: directory contains no .json files")
-            yield from found
-        elif path.exists():
-            yield path
-        else:
-            raise FileFormatError(f"{path}: no such file")
-
-
 # --- delta formatting -------------------------------------------------------
 
 
@@ -397,7 +382,7 @@ def _slot_to_doc(slot: SlotTarget) -> dict:
         "gt_index": slot.gt_index,
         "actionness": slot.actionness,
         "class_index": slot.class_index,
-        "class_multihot": list(slot.class_multihot) if slot.class_multihot else None,
+        "class_multihot": slot.class_multihot or None,
         "time": slot.time,
     }
 

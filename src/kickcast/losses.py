@@ -175,6 +175,9 @@ def loss_segmentation(
         raise LossError(f"{len(frame_dists)} frame distributions for {len(labels)} labels")
     terms = []
     for f, (dist, label) in enumerate(zip(frame_dists, labels)):
+        for p in dist:
+            if p < 0.0 or p > 1.0:  # NaN is left to the sum check, which names it
+                raise LossError(f"frame {f} probability {p!r} outside [0, 1]")
         check_distribution(dist, f"frame {f} distribution")
         if not 0 <= label < len(dist):
             raise LossError(f"frame {f} label {brief(label)} outside distribution of {len(dist)}")

@@ -521,6 +521,7 @@ class TestBadInput:
         [
             ("actionness", 5.0, "actionness target 5.0 outside [0, 1]"),
             ("class_multihot", [2] + [0] * 9, "entry other than 0 or 1"),
+            ("class_multihot", [1, 0, 0], "multi-hot target of 3 vs distribution of 10"),
         ],
     )
     def test_loss_target_out_of_range(self, tmp_path, capsys, key, value, match):
@@ -601,6 +602,143 @@ class TestBadInput:
         self.assert_one_error_line(code, err)
         assert out == ""
         assert f"{bad}: clip #0 (demo): frame {frames - 1} distribution sums to nan" in err
+
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            ([1.5, -0.5], "frame 0 probability 1.5 outside [0, 1]"),
+            ([-0.5, 1.5], "frame 0 probability -0.5 outside [0, 1]"),
+            ([1e308, 1e308], "frame 0 probability 1e+308 outside [0, 1]"),
+        ],
+        ids=["above-one", "negative", "overflowing-sum"],
+    )
+    def test_frame_probability_outside_unit_interval(self, tmp_path, capsys, head, message):
+        # The first two frames sum to 1, so only the range check stops a
+        # negative loss; the last would overflow math.fsum.
+        doc = loss_check_doc()
+        frames, width = BenchConfig().context_frames, BenchConfig().num_classes + 1
+        dists = [[1.0 / width] * width for _ in range(frames)]
+        dists[0] = head + [0.0] * (width - len(head))
+        doc["clips"][0]["segmentation"] = {"frame_dists": dists, "labels": [0] * frames}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["loss-check", str(bad)], capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert err == f"kickcast: error: {bad}: clip #0 (demo): {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, key, value, message",
+        [
+            (
+                ["targets", str(FIXTURE_DIR), "--variant", "q-act", "--fps", "0"],
+                None,
+                None,
+                "fps must be positive",
+            ),
+            (
+                ["loss-check"],
+                "dilation_radius",
+                -1,
+                "bad config: dilation_radius must be non-negative",
+            ),
+        ],
+        ids=["fps-flag", "dilation-config"],
+    )
+    def test_config_out_of_range(self, tmp_path, capsys, argv, key, value, message):
+        out = tmp_path / "out.json"
+        if key is not None:
+            doc = loss_check_doc()
+            doc["config"][key] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            argv = [*argv, str(bad)]
+            message = f"{bad}: {message}"
+        code, _, err = run([*argv, "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err == f"kickcast: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["eval-clips", "predictions", "loss-check"])
+    def test_top_level_not_an_object(self, tmp_path, capsys, clips_file, oracle_file, reader):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        argv = {
+            "eval-clips": ["evaluate", "--gt", str(bad), "--pred", str(oracle_file)],
+            "predictions": ["evaluate", "--gt", str(clips_file), "--pred", str(bad)],
+            "loss-check": ["loss-check", str(bad)],
+        }[reader]
+        code, out, err = run(argv, capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert err == f"kickcast: error: {bad}: expected a JSON object at top level\n"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"annotations": [5]}, "annotation #0: annotation record must be an object, got int"),
+            ({"halfDurationsMs": []}, "halfDurationsMs must be an object keyed by half"),
+            ({"gameId": 5}, "gameId must be a string, got 5"),
+            ({"gameId": ""}, "gameId must be a non-empty string, got ''"),
+        ],
+        ids=["record", "durations", "game-id-type", "game-id-empty"],
+    )
+    def test_bad_annotation_document(self, tmp_path, capsys, change, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"gameId": "g", "annotations": [], **change}))
+        out = tmp_path / "clips.json"
+        code, _, err = run(["prepare", str(path), "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err == f"kickcast: error: {path}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["prepare", "targets", "baseline"])
+    def test_empty_split(self, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        argv = [*command_argv(command, None, None, None), "--split", "valid2"]
+        code, _, err = run([*argv, "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err == "kickcast: error: no games to process in split 'valid2'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("prepare", "no evaluation windows could be derived from the inputs"),
+            ("targets", "no training windows could be derived from the inputs"),
+            ("loss-check", "{bad}: no clips to check"),
+        ],
+    )
+    def test_nothing_to_do(self, tmp_path, capsys, command, message):
+        bad = tmp_path / "bad.json"
+        if command == "prepare":  # no durations and no actions: no half to tile
+            doc = {"gameId": "g", "annotations": []}
+            argv = ["prepare", str(bad)]
+        elif command == "targets":  # halves shorter than the 5 s context
+            doc = {"gameId": "g", "halfDurationsMs": {"1": 4000, "2": 4000}, "annotations": []}
+            argv = ["targets", str(bad), "--variant", "q-act", "--tc", "5"]
+        else:
+            doc = {**loss_check_doc(), "clips": []}
+            argv = ["loss-check", str(bad)]
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        code, _, err = run([*argv, "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err == f"kickcast: error: {message.format(bad=bad)}\n"
+        assert not out.exists()
+
+    def test_duplicate_game_id_outside_the_split(self, tmp_path, capsys):
+        # Game ids are unique across the inputs, not only within the chosen split.
+        dup = tmp_path / "dup"
+        dup.mkdir()
+        doc = json.loads((FIXTURE_DIR / "game-alpha.json").read_text())
+        (dup / "one.json").write_text(json.dumps(doc))
+        (dup / "two.json").write_text(json.dumps({**doc, "split": "test"}))
+        out = tmp_path / "clips.json"
+        code, _, err = run(["prepare", str(dup), "--split", "test", "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err == f"kickcast: error: duplicate game id {doc['gameId']!r} in inputs\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "payload", ["[" * 100_000 + "]" * 100_000, "1" + "0" * 5000], ids=["deep", "5001-digit"]
@@ -753,7 +891,7 @@ class TestBadInput:
         def unreachable(*args):
             raise AssertionError("the corpus was read before the config was checked")
 
-        monkeypatch.setattr(cli, "_load_corpus", unreachable)
+        monkeypatch.setattr(cli, "load_corpus", unreachable)
         out = tmp_path / "t.json"
         argv = ["targets", str(FIXTURE_DIR), "--variant", "q-act", "--queries", str(queries)]
         code, _, err = run([*argv, "--out", str(out)], capsys)

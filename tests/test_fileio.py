@@ -19,6 +19,7 @@ from kickcast.annotations import (
     ActionClass,
     AnnotationError,
     format_game_time,
+    load_corpus,
     parse_annotations_dict,
     serialize_annotations,
 )
@@ -32,7 +33,6 @@ from kickcast.fileio import (
     dump_json,
     eval_clips_to_doc,
     format_delta,
-    iter_annotation_files,
     parse_delta,
     predictions_to_doc,
     read_eval_clips,
@@ -68,6 +68,14 @@ class Level(enum.IntEnum):
 class Ratio(float):
     def __repr__(self) -> str:
         return "Ratio()"
+
+
+class Items(list):
+    pass
+
+
+class Table(dict):
+    pass
 
 
 def oracle_dump(doc):
@@ -157,7 +165,20 @@ class TestCanonicalJson:
 
     def test_subclasses_render_as_their_base(self):
         doc = {Mood.CALM: [Mood.CALM, Level.HIGH, True], "n": Level.HIGH, "f": Ratio(0.5)}
+        doc["l"] = Items([Ratio(1.5), Table(k=Items())])
+        doc["d"] = Table(k=[Level.HIGH], j=Table())
         assert dump_json(doc) == oracle_dump(doc)
+        assert dump_json(Table(doc)) == oracle_dump(doc)
+
+    @pytest.mark.parametrize(
+        "value", [object(), {1}, b"x", 1j], ids=["object", "set", "bytes", "complex"]
+    )
+    def test_unsupported_type_rejected(self, value):
+        message = f"Object of type {type(value).__name__} is not JSON serializable"
+        with pytest.raises(TypeError, match=message):
+            oracle_dump({"k": [value]})
+        with pytest.raises(TypeError, match=message):
+            dump_json({"k": [value]})
 
     def test_non_string_key_rejected(self):
         with pytest.raises(TypeError):
@@ -532,20 +553,20 @@ class TestLossCheckFile:
 
 
 class TestAnnotationDiscovery:
-    def test_directory_expansion_sorted(self, fixture_paths):
-        found = list(iter_annotation_files([fixture_paths[0].parent]))
-        assert found == sorted(fixture_paths)
+    def test_directory_expansion_sorted(self, fixture_paths, corpus):
+        found = load_corpus([fixture_paths[0].parent])
+        assert found == corpus  # the fixture games, in sorted path order
 
-    def test_files_passed_through(self, fixture_paths):
-        assert list(iter_annotation_files(fixture_paths)) == list(fixture_paths)
+    def test_files_passed_through(self, fixture_paths, corpus):
+        assert load_corpus(fixture_paths) == corpus
 
     def test_missing_path_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match="no such file"):
-            list(iter_annotation_files([tmp_path / "nope"]))
+            load_corpus([tmp_path / "nope"])
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match="no .json files"):
-            list(iter_annotation_files([tmp_path]))
+            load_corpus([tmp_path])
 
 
 @pytest.fixture(scope="module")
@@ -812,7 +833,8 @@ class TestSchemas:
                 (c.clip_id, assign_for_variant(variant, c.gt_actions, CFG))
                 for c in eval_clips[:6]
             ]
-            validator.validate(targets_to_doc(pairs, CFG, variant))
+            # the file as written: the document holds the shared one-hot tuples
+            validator.validate(json.loads(dump_json(targets_to_doc(pairs, CFG, variant))))
 
     def test_schema_rejects_bad_half(self, schema_registry):
         validator = validator_for("annotations", schema_registry)

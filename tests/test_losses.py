@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -340,6 +341,13 @@ class TestRoundTrip:
                 break
             raw = encode_time(t, ta)
             assert abs(decode_time(raw, ta) - t) <= tol
+
+    @pytest.mark.parametrize("time_s", [-0.5, 5.0, math.inf, math.nan])
+    def test_encode_rejects_time_outside_window(self, time_s):
+        from kickcast.timecodec import encode_time
+
+        with pytest.raises(ValueError, match=re.escape(f"time {time_s} outside [0, 5.0)")):
+            encode_time(time_s, 5.0)
 
     def test_worked_decode(self):
         from kickcast.timecodec import decode_time

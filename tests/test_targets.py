@@ -22,7 +22,9 @@ from kickcast.targets import (
     HEADS,
     UNCONSTRAINED,
     Assignment,
+    HeadSpec,
     HeadVariant,
+    Pairing,
     SlotTarget,
     TargetError,
     assign_for_variant,
@@ -401,6 +403,13 @@ class TestHeadTable:
         assert indices or hot_widths
         assert all(0 <= c < width for c in indices)
         assert hot_widths <= {width}
+
+    @pytest.mark.parametrize(
+        "pairing", [p for p in Pairing if p is not Pairing.SEQUENTIAL], ids=lambda p: p.name
+    )
+    def test_eos_head_needs_sequential_pairing(self, pairing):
+        with pytest.raises(ValueError, match="^an end-of-sequence head needs sequential pairing$"):
+            HeadSpec(pairing, eos=True)
 
     @pytest.mark.parametrize("variant", list(HeadVariant), ids=lambda v: v.value)
     def test_cli_refuses_exactly_output_dependent_heads(self, variant, tmp_path, capsys):
