@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .annotations import GameAnnotations, class_stats, load_corpus
 from .baselines import BASELINE_KINDS, BaselineSpec, run_baseline
-from .config import BenchConfig
+from .config import MAX_TOLERANCES, BenchConfig
 from .fileio import (
     RENDERERS,
     VERSION,
@@ -40,8 +40,8 @@ from .fileio import (
     write_eval_clips,
     write_predictions,
     write_targets,
-    write_text,
 )
+from .jsonio import write_text
 from .losses import (
     LossError,
     LossParts,
@@ -133,10 +133,20 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _deltas(text: str) -> tuple[float, ...]:
+    """The ``--deltas`` tolerances, at most :data:`~kickcast.config.MAX_TOLERANCES` of them."""
+    count = text.count(",") + 1
+    if count > MAX_TOLERANCES:
+        raise ValueError(
+            f"--deltas lists {count} tolerances, at most {MAX_TOLERANCES} are allowed"
+        )
+    return tuple(parse_delta(part) for part in text.split(","))
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    deltas = _deltas(args.deltas)  # before either file is read
     clips, _cfg = read_eval_clips(args.gt)
     predictions = read_predictions(args.pred)
-    deltas = tuple(parse_delta(part) for part in args.deltas.split(","))
     report = evaluate(clips, predictions, deltas)
     text = RENDERERS[args.format](report)
     _emit(text, args.out)
@@ -203,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--deltas",
         default=",".join(map(format_delta, DEFAULT_DELTAS)),
-        help="comma-separated tolerances in seconds (inf allowed)",
+        help=f"comma-separated tolerances in seconds (inf allowed), at most {MAX_TOLERANCES}",
     )
     p.add_argument("--format", choices=sorted(RENDERERS), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")

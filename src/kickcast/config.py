@@ -16,6 +16,9 @@ MAX_QUERIES = 64
 #: decode (every class at every slot) at :data:`MAX_QUERIES`.  Scoring work
 #: and the predictions file grow with it for every clip.
 MAX_PREDICTIONS_PER_CLIP = MAX_QUERIES * NUM_CLASSES
+#: Most tolerances ``evaluate --deltas`` may list.  Matching work and the report
+#: grow with each one; 256 holds twice a 0.5-60 s sweep in 0.5 s steps plus inf.
+MAX_TOLERANCES = 256
 #: Longest half an annotation file may declare or time an action in: 2 h, a
 #: 45-minute half plus any stoppage time.  Tiling work grows with the half
 #: length, and it keeps every clip id's ``{start:07d}`` at 7 digits, so that

@@ -37,15 +37,16 @@ import io
 import json
 import math
 from dataclasses import asdict, fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .annotations import parse_label
 from .config import BenchConfig
-from .jsonio import FileFormatError, brief, exact, number, read_json, write_text
+from .jsonio import FileFormatError, brief, exact, number, output, read_json
 from .losses import SlotOutput
 from .metrics import EvalReport, Prediction
-from .targets import Assignment, HeadVariant, SlotTarget
+from .targets import BLANK, HEADS, UNCONSTRAINED, Assignment, HeadVariant, SlotTarget
 from .windowing import EvalClip, GtAction, SegGrid
 
 FORMAT_EVAL_CLIPS = "kickcast-eval-clips"
@@ -65,6 +66,10 @@ def _encode_float(value: float) -> str:
     return float.__repr__(value)
 
 
+class _Text(str):
+    """JSON text of a value, laid out for the depth it is placed at: written as it is."""
+
+
 #: JSON text of a scalar, keyed by its exact type.
 _SCALARS: dict[type, Callable[[Any], str]] = {
     str: _encode_str,
@@ -72,6 +77,7 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
     float: _encode_float,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
+    _Text: lambda text: text,
 }
 
 
@@ -84,6 +90,18 @@ def _breaks(depth: int) -> tuple[str, str]:
 
 #: No item yet, in :func:`_encode_list`'s run tracking (``None`` is an item).
 _NOTHING = object()
+
+
+class _Records:
+    """A record list built as it is written: ``build(item)`` of each item, on every pass."""
+
+    __slots__ = ("build", "items")
+
+    def __init__(self, build: Callable[[Any], Any], items: list) -> None:
+        self.build, self.items = build, items
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self.build, self.items)
 
 
 def _encode(value: Any, depth: int) -> str:
@@ -119,9 +137,8 @@ def _encode_list(items: list | tuple, depth: int) -> str:
     if scalar is not None:
         body = sep.join(map(scalar, items))
     else:
-        # A run of one object (the shared unpaired slot of a targets clip)
-        # is encoded once; a comprehension keeps lists without runs as fast
-        # as a plain one.
+        # A run of one object is encoded once; a comprehension keeps lists
+        # without runs as fast as a plain one.
         prev = text = _NOTHING
         texts = [
             text if item is prev else (text := _encode(prev := item, depth + 1))
@@ -162,21 +179,60 @@ def _encode_dict(obj: dict, depth: int) -> str:
     return "".join(parts)
 
 
+def _iter_json(value: Any, depth: int = 0) -> Iterator[str]:
+    """The text of ``value`` at ``depth`` in chunks: a dict entry by entry, a list item by item.
+
+    Each item of a list is encoded whole, so a document's record list comes
+    one record at a time, built as it comes if it is a :class:`_Records`.  At
+    depth 0 the text ends with a newline.
+    """
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+        else:
+            heads, close = _layout(tuple(value), depth)
+            yield "{"
+            for key, head in heads:
+                yield head
+                yield from _iter_json(value[key], depth + 1)
+            yield close
+    elif isinstance(value, (list, tuple, _Records)):
+        newline, sep = _breaks(depth + 1)
+        lead = "[" + newline
+        prev = text = _NOTHING
+        for item in value:
+            if item is not prev:  # the run rule of _encode_list
+                text = _encode(prev := item, depth + 1)
+            yield lead + text
+            lead = sep
+        yield "[]" if prev is _NOTHING else _breaks(depth)[0] + "]"
+    else:
+        yield _encode(value, depth)
+    if not depth:
+        yield "\n"
+
+
 def dump_json(doc: Any) -> str:
     """Canonical JSON serialization (stable bytes for stable content).
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"`` for documents with string keys, which would run
     CPython's pure-Python encoder (any ``indent`` turns its C encoder off).  A
-    run of one object, such as a targets clip's shared unpaired slot, is
-    encoded once (see :func:`targets_to_doc`), and the sorted keys of a dict
-    and the text before each value are laid out once per key set and depth.
+    run of one object is encoded once, and the sorted keys of a dict and the
+    text before each value are laid out once per key set and depth.  The
+    record list of a writer's document is built record by record as it is
+    encoded (see :func:`_iter_json`).
     """
-    return _encode(doc, 0) + "\n"
+    return "".join(_iter_json(doc))
 
 
 def write_json(path: str | Path, doc: Any) -> None:
-    write_text(path, dump_json(doc))
+    """Write :func:`dump_json`'s text through :func:`~kickcast.jsonio.output`, record by record.
+
+    Nothing of ``path`` changes unless the whole document is written.
+    """
+    with output(path) as out:
+        out.writelines(_iter_json(doc))
 
 
 def _load(path: str | Path, expected_format: str) -> dict:
@@ -268,28 +324,29 @@ def _config(doc: Any, path: str | Path) -> BenchConfig:
 # --- eval clips -------------------------------------------------------------
 
 
+def _eval_clip_to_doc(clip: EvalClip) -> dict:
+    return {
+        "clip_id": clip.clip_id,
+        "game_id": clip.game_id,
+        "half": clip.half,
+        "context_start_ms": clip.context_start_ms,
+        "context_end_ms": clip.context_end_ms,
+        "anticipation_start_ms": clip.anticipation_start_ms,
+        "anticipation_end_ms": clip.anticipation_end_ms,
+        "partial": clip.partial,
+        "gt_actions": [
+            {"label": a.label.value, "offset_ms": a.offset_ms} for a in clip.gt_actions
+        ],
+    }
+
+
 def eval_clips_to_doc(clips: Iterable[EvalClip], cfg: BenchConfig) -> dict:
-    records = [
-        {
-            "clip_id": clip.clip_id,
-            "game_id": clip.game_id,
-            "half": clip.half,
-            "context_start_ms": clip.context_start_ms,
-            "context_end_ms": clip.context_end_ms,
-            "anticipation_start_ms": clip.anticipation_start_ms,
-            "anticipation_end_ms": clip.anticipation_end_ms,
-            "partial": clip.partial,
-            "gt_actions": [
-                {"label": a.label.value, "offset_ms": a.offset_ms} for a in clip.gt_actions
-            ],
-        }
-        for clip in sorted(clips, key=lambda c: c.sort_key)
-    ]
+    """The eval-clips document; its clip records are built as they are written."""
     return {
         "format": FORMAT_EVAL_CLIPS,
         "version": VERSION,
         "config": config_to_doc(cfg),
-        "clips": records,
+        "clips": _Records(_eval_clip_to_doc, sorted(clips, key=attrgetter("sort_key"))),
     }
 
 
@@ -337,22 +394,24 @@ def read_eval_clips(path: str | Path) -> tuple[list[EvalClip], BenchConfig]:
 # --- predictions ------------------------------------------------------------
 
 
+def _prediction_to_doc(p: Prediction) -> dict:
+    return {
+        "clip_id": p.clip_id,
+        "label": p.label.value,
+        "time_s": p.time_s,
+        "confidence": p.confidence,
+    }
+
+
 def predictions_to_doc(predictions: Iterable[Prediction]) -> dict:
+    """The predictions document; its records are built as they are written."""
     ordered = sorted(
         predictions, key=lambda p: (p.clip_id, p.label.value, p.time_s, -p.confidence)
     )
     return {
         "format": FORMAT_PREDICTIONS,
         "version": VERSION,
-        "predictions": [
-            {
-                "clip_id": p.clip_id,
-                "label": p.label.value,
-                "time_s": p.time_s,
-                "confidence": p.confidence,
-            }
-            for p in ordered
-        ],
+        "predictions": _Records(_prediction_to_doc, ordered),
     }
 
 
@@ -387,32 +446,43 @@ def _slot_to_doc(slot: SlotTarget) -> dict:
     }
 
 
+#: Depth of a slot object in a targets document: document, clips, clip, slots, slot.
+_SLOT_DEPTH = 4
+
+
 def targets_to_doc(
     assignments: Iterable[tuple[str, Assignment]],
     cfg: BenchConfig,
     variant: HeadVariant,
 ) -> dict:
-    # One dict per distinct slot object, so the encoder sees a run of the
-    # shared unpaired slot as one object.  Keyed by identity, not value:
-    # SlotTarget(actionness=0) == SlotTarget(actionness=0.0) but they encode
-    # differently.  The assignments are alive for the whole call, so ids are
-    # not reused.
-    slot_docs: dict[int, dict] = {}
-    records = []
-    for clip_id, assignment in sorted(assignments, key=lambda pair: pair[0]):
-        slots = []
-        for s in assignment.slots:
-            doc = slot_docs.get(id(s))
-            if doc is None:
-                doc = slot_docs[id(s)] = _slot_to_doc(s)
-            slots.append(doc)
-        records.append({"clip_id": clip_id, "truncated": assignment.truncated, "slots": slots})
+    """The targets document; its clip records are built as they are written.
+
+    The head's shared unpaired slots (:data:`~kickcast.targets.BLANK`, its
+    ``unpaired`` target and :data:`~kickcast.targets.UNCONSTRAINED`) recur in
+    most clips, so each is encoded once per document, as slot text.  They are
+    found by identity, not value: ``SlotTarget(actionness=0)`` equals
+    ``SlotTarget(actionness=0.0)`` but encodes differently.  The memo holds
+    each object next to its text, so its id is never reused.  Paired slots
+    never recur; they stay dicts.
+    """
+    shared = {
+        id(slot): (slot, _Text(_encode(_slot_to_doc(slot), _SLOT_DEPTH)))
+        for slot in (BLANK, HEADS[variant].unpaired, UNCONSTRAINED)
+    }
+
+    def record(pair: tuple[str, Assignment]) -> dict:
+        clip_id, assignment = pair
+        slots = [
+            hit[1] if (hit := shared.get(id(s))) else _slot_to_doc(s) for s in assignment.slots
+        ]
+        return {"clip_id": clip_id, "truncated": assignment.truncated, "slots": slots}
+
     return {
         "format": FORMAT_TARGETS,
         "version": VERSION,
         "config": config_to_doc(cfg),
         "variant": variant.value,
-        "clips": records,
+        "clips": _Records(record, sorted(assignments, key=itemgetter(0))),
     }
 
 

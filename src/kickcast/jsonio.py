@@ -1,16 +1,22 @@
-"""The JSON input boundary: one file loader, one error form and the field value rules.
+"""The file boundary: one file loader, one output path, one error form and the field value rules.
 
 Error messages quote document values through :func:`brief`, which cuts a long
 repr, so one huge value cannot make a huge error line.
 
-Every kickcast input is read here; this module imports nothing from kickcast.
+Every kickcast input is read here and every output written through
+:func:`output`; this module imports nothing from kickcast.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import shutil
+import stat
+import tempfile
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Iterator
 
 
 class FileFormatError(ValueError):
@@ -29,12 +35,61 @@ def read_json(path: str | Path) -> Any:
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write an output file; a path that cannot be written is a FileFormatError."""
+@contextlib.contextmanager
+def output(path: str | Path) -> Iterator[IO[str]]:
+    """A UTF-8 text file whose bytes become ``path`` only if the block completes.
+
+    A new or regular file at ``path`` (after following symlinks) is written as
+    a temporary file beside it, created with mode 0o666 less the umask, as
+    ``open`` would, and renamed over it by ``os.replace`` at the end.  An
+    existing FIFO or device (``/dev/stdout``) is never replaced: the bytes go
+    to an anonymous temporary file and are copied to it at the end.  If the
+    block raises, ``path`` is left as it was and no temporary file remains.
+    An OSError is a FileFormatError naming ``path``.
+    """
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = stat.S_IFREG
+        if stat.S_ISREG(mode) or stat.S_ISDIR(mode):  # replacing a directory fails
+            with _renamed(os.path.realpath(path)) as out:
+                yield out
+        else:
+            with tempfile.TemporaryFile("w+", _BUFFER_BYTES, encoding="utf-8") as spool:
+                yield spool
+                spool.seek(0)  # flushes the text layer too
+                with open(path, "wb") as sink:
+                    shutil.copyfileobj(spool.buffer, sink)
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
+
+
+#: Write buffer of an output file.  Writers hand over one record at a time, and
+#: io's 8 KiB default costs a system call every few dozen small records.
+_BUFFER_BYTES = 1 << 18
+
+
+@contextlib.contextmanager
+def _renamed(target: str) -> Iterator[IO[str]]:
+    """A new file beside ``target`` that replaces it when the block completes, else is removed."""
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name[:100]}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", _BUFFER_BYTES, encoding="utf-8") as out:
+            yield out
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write an output file through :func:`output`."""
+    with output(path) as out:
+        out.write(text)
 
 
 #: Longest repr of a document value that an error message quotes.

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import math
+import os
 import shutil
 
 import pytest
@@ -16,10 +18,11 @@ from kickcast.config import (
     MAX_HALF_MS,
     MAX_PREDICTIONS_PER_CLIP,
     MAX_QUERIES,
+    MAX_TOLERANCES,
     NUM_CLASSES,
     BenchConfig,
 )
-from kickcast.fileio import read_eval_clips, read_predictions
+from kickcast.fileio import format_delta, read_eval_clips, read_predictions
 
 from conftest import FIXTURE_DIR, loss_check_doc
 
@@ -175,6 +178,79 @@ class TestTargets:
         run([*args, "--out", str(a)], capsys)
         run([*args, "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRecordOrder:
+    """The two record orders of the written files, on game ids whose clip ids interleave.
+
+    ``clips.json`` lists clips by ``(game_id, half, start)``; predictions and
+    targets list them by the ``clip_id`` string.  ``a0:…`` sorts before
+    ``a:…``.  Game ``a:1``'s eval ids (``a:1:1:…``) fall between game ``a``'s
+    halves (``a:1:0…`` and ``a:2:…``); its train ids sort before both of
+    them, because the ``c`` of ``a:1:c…`` sorts after every digit.
+    """
+
+    GAMES = ("a", "a0", "a:1")
+
+    @pytest.fixture()
+    def corpus_dir(self, tmp_path):
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        for k, game_id in enumerate(self.GAMES):
+            records = [
+                {"gameTime": format_game_time(half, ms), "position": ms, "label": "Pass"}
+                for half in (1, 2)
+                for ms in (3_000, 11_000)
+            ]
+            doc = {
+                "gameId": game_id,
+                "split": "train",
+                "halfDurationsMs": {"1": 20_000, "2": 20_000},
+                "annotations": records,
+            }
+            (ann / f"g{k}.json").write_text(json.dumps(doc))
+        return ann
+
+    @staticmethod
+    def blocks(clip_ids):
+        """(game, half) of each run of consecutive clip ids, and whether starts ascend in each."""
+        runs, ascending = [], True
+        for clip_id in clip_ids:
+            game, half, start = clip_id.rsplit(":", 2)
+            start = int(start.lstrip("c"))  # a train clip id marks its context start
+            if runs and runs[-1][0] == (game, int(half)):
+                ascending &= start > runs[-1][1]
+                runs[-1][1] = start
+            else:
+                runs.append([(game, int(half)), start])
+        return [block for block, _ in runs], ascending
+
+    def test_eval_clips_in_sort_key_order(self, tmp_path, corpus_dir):
+        out = tmp_path / "clips.json"
+        assert main(["prepare", str(corpus_dir), "--out", str(out)]) == 0
+        ids = [c["clip_id"] for c in json.loads(out.read_text())["clips"]]
+        assert self.blocks(ids) == (
+            [("a", 1), ("a", 2), ("a0", 1), ("a0", 2), ("a:1", 1), ("a:1", 2)],
+            True,
+        )
+
+    @pytest.mark.parametrize("command", ["baseline", "targets"])
+    def test_predictions_and_targets_in_clip_id_order(self, tmp_path, corpus_dir, command):
+        out = tmp_path / "out.json"
+        argv = {
+            "baseline": ["baseline", str(corpus_dir), "--kind", "random", "--per-clip", "1"],
+            "targets": ["targets", str(corpus_dir), "--variant", "q-bce"],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        records = doc["predictions"] if command == "baseline" else doc["clips"]
+        ids = [r["clip_id"] for r in records]
+        assert ids == sorted(ids)
+        expected = {
+            "baseline": [("a0", 1), ("a0", 2), ("a", 1), ("a:1", 1), ("a:1", 2), ("a", 2)],
+            "targets": [("a0", 1), ("a0", 2), ("a:1", 1), ("a:1", 2), ("a", 1), ("a", 2)],
+        }[command]
+        assert self.blocks(ids) == (expected, True)
 
 
 class TestBaselineCommand:
@@ -440,6 +516,62 @@ class TestBadInput:
         code, _, err = run([*argv, "--out", str(out)], capsys)
         self.assert_one_error_line(code, err)
         assert f"{out}: No such file or directory" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_directory_not_writable(
+        self, tmp_path, capsys, monkeypatch, clips_file, oracle_file, check_file, command
+    ):
+        # Root ignores directory permissions, so the refusal is made where the
+        # temporary file is created; the error names --out, not that file.
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        real_open = os.open
+
+        def refuse(path, flags, *args, **kwargs):
+            if os.path.dirname(path) == str(locked):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refuse)
+        out = locked / "out.json"
+        argv = command_argv(command, clips_file, oracle_file, check_file)
+        code, _, err = run([*argv, "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err == f"kickcast: error: {out}: Permission denied\n"
+        assert list(locked.iterdir()) == []
+
+    @pytest.mark.parametrize("count", [MAX_TOLERANCES + 1, 300_000])
+    def test_tolerance_count_checked_before_any_file_is_read(
+        self, tmp_path, capsys, monkeypatch, count
+    ):
+        def unreachable(path):
+            raise AssertionError(f"{path} was read before --deltas was checked")
+
+        monkeypatch.setattr(cli, "read_eval_clips", unreachable)
+        monkeypatch.setattr(cli, "read_predictions", unreachable)
+        deltas = ",".join(str(k + 1) for k in range(count))
+        argv = ["evaluate", "--gt", "clips.json", "--pred", "preds.json", "--deltas", deltas]
+        code, out, err = run(argv, capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert err == (
+            f"kickcast: error: --deltas lists {count} tolerances, "
+            f"at most {MAX_TOLERANCES} are allowed\n"
+        )
+
+    @pytest.mark.parametrize(
+        "deltas",
+        [[k / 2 for k in range(1, 121)], [k / 4 for k in range(1, MAX_TOLERANCES + 1)]],
+        ids=["0.5-60s-sweep", "at-the-bound"],
+    )
+    def test_tolerance_sweeps_accepted(self, clips_file, oracle_file, capsys, deltas):
+        names = [format_delta(d) for d in deltas]
+        argv = ["evaluate", "--gt", str(clips_file), "--pred", str(oracle_file)]
+        code, out, err = run([*argv, "--deltas", ",".join(names)], capsys)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["deltas"] == names
+        assert doc["average_map"] == 1.0
 
     @pytest.mark.parametrize(
         "fmt, body, match",

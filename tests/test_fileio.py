@@ -6,7 +6,11 @@ import enum
 import itertools
 import json
 import math
+import os
 import random
+import stat
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +48,7 @@ from kickcast.fileio import (
     report_to_doc,
     targets_to_doc,
     write_eval_clips,
+    write_json,
     write_predictions,
     write_targets,
 )
@@ -80,6 +85,15 @@ class Table(dict):
 
 def oracle_dump(doc):
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def written(doc):
+    """A writer's document as its file holds it: lists and dicts only.
+
+    The writers build their records as they write them, and a targets
+    document holds its shared slots as encoded text.
+    """
+    return json.loads(dump_json(doc))
 
 
 JSON_SCALARS = st.one_of(
@@ -330,7 +344,7 @@ class TestEvalClipsFile:
         assert path.read_bytes() == first
 
     def _doc(self, eval_clips):
-        return eval_clips_to_doc(eval_clips[:3], CFG)
+        return written(eval_clips_to_doc(eval_clips[:3], CFG))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -370,7 +384,7 @@ class TestEvalClipsFile:
             read_eval_clips(path)
 
     def test_offset_outside_span_rejected(self, tmp_path, eval_clips):
-        doc = eval_clips_to_doc(eval_clips, CFG)
+        doc = written(eval_clips_to_doc(eval_clips, CFG))
         rec = next(r for r in doc["clips"] if r["gt_actions"])
         rec["gt_actions"][0]["offset_ms"] = 999_999
         path = tmp_path / "bad.json"
@@ -428,7 +442,7 @@ class TestTargetsFile:
             (c.clip_id, assign_for_variant(HeadVariant.Q_ACT, c.gt_actions, CFG))
             for c in eval_clips[:5]
         ]
-        doc = targets_to_doc(pairs, CFG, HeadVariant.Q_ACT)
+        doc = written(targets_to_doc(pairs, CFG, HeadVariant.Q_ACT))
         assert doc["variant"] == "q-act"
         assert [r["clip_id"] for r in doc["clips"]] == sorted(
             r["clip_id"] for r in doc["clips"]
@@ -490,6 +504,92 @@ class TestTargetsFile:
         doc = targets_to_doc([("c", Assignment(HeadVariant.Q_ACT, slots))], CFG, HeadVariant.Q_ACT)
         values = [json.loads(dump_json(doc))["clips"][0]["slots"][i]["actionness"] for i in range(5)]
         assert [type(v) for v in values] == [int, int, float, float, int]
+
+
+class TestTargetsMemory:
+    def test_write_peak_is_a_fraction_of_the_file(self, corpus, tmp_path):
+        # Records are encoded and written one at a time, so neither the whole
+        # document nor its text is ever held at once.
+        cfg = BenchConfig()
+        pairs = [
+            (c.clip_id, assign_for_variant(HeadVariant.Q_BCE, c.future_actions, cfg))
+            for game in corpus
+            for c in make_train_clips(game, cfg)[::4]
+        ]
+        path = tmp_path / "targets.json"
+        tracemalloc.start()
+        try:
+            write_targets(path, pairs, cfg, HeadVariant.Q_BCE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 2, (peak, size)
+
+
+class TestOutputFile:
+    """``write_json`` replaces its output only when the whole document is written."""
+
+    DOC = {"format": "x", "records": [{"k": 1.5}, {"k": None}]}
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old bytes\n")
+        # The first record overflows the write buffer, so the temporary file
+        # holds bytes when the second record fails.
+        doc = {"records": [{"k": "x" * 600_000}, {"k": math.nan}]}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, doc)
+        assert path.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_creates_nothing(self, tmp_path):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(tmp_path / "out.json", {"records": [{"k": 1}, {"k": math.inf}]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        path = tmp_path / "out.json"
+        old = os.umask(0o027)
+        try:
+            write_json(path, self.DOC)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_text() == dump_json(self.DOC)
+
+    def test_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        write_json(link, self.DOC)
+        assert link.is_symlink()
+        assert target.read_text() == dump_json(self.DOC)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.json", "out.json", "real"]
+
+    def test_fifo_is_written_not_replaced(self, tmp_path, eval_clips):
+        regular, fifo = tmp_path / "clips.json", tmp_path / "clips.fifo"
+        write_eval_clips(regular, eval_clips, CFG)  # larger than a pipe's buffer
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as f:
+                received.append(f.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        write_eval_clips(fifo, eval_clips, CFG)
+        reader.join(timeout=10)
+        if reader.is_alive():  # the writer never opened the FIFO: release the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert received == [regular.read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == [fifo, regular]
 
 
 class TestLossCheckFile:
@@ -694,7 +794,8 @@ def full_loss_check_doc(corpus):
     for variant in (HeadVariant.Q_ACT, HeadVariant.Q_EOS, HeadVariant.Q_BCE):
         assignment = assign_for_variant(variant, clip.future_actions, CFG)
         width = C + HEADS[variant].sentinel
-        slots = targets_to_doc([(clip.clip_id, assignment)], CFG, variant)["clips"][0]["slots"]
+        doc = written(targets_to_doc([(clip.clip_id, assignment)], CFG, variant))
+        slots = doc["clips"][0]["slots"]
         output = {"actionness": 0.5, "class_probs": [1.0 / width] * width, "time_raw": -1.0}
         records.append(
             {
@@ -729,8 +830,8 @@ class TestSchemas:
         tmp_path, monkeypatch,
     ):
         doc, read = {
-            "eval-clips": (eval_clips_to_doc(eval_clips, CFG), read_eval_clips),
-            "predictions": (predictions_to_doc(some_predictions), read_predictions),
+            "eval-clips": (written(eval_clips_to_doc(eval_clips, CFG)), read_eval_clips),
+            "predictions": (written(predictions_to_doc(some_predictions)), read_predictions),
             "loss-check": (full_loss_check_doc, read_loss_check),
         }[name]
         validator_for(name, schema_registry).validate(doc)
@@ -778,8 +879,8 @@ class TestSchemas:
         tmp_path,
     ):
         doc, read = {
-            "eval-clips": (eval_clips_to_doc(eval_clips, CFG), read_eval_clips),
-            "predictions": (predictions_to_doc(some_predictions), read_predictions),
+            "eval-clips": (written(eval_clips_to_doc(eval_clips, CFG)), read_eval_clips),
+            "predictions": (written(predictions_to_doc(some_predictions)), read_predictions),
             "loss-check": (full_loss_check_doc, read_loss_check),
         }[name]
         root = json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
@@ -820,11 +921,11 @@ class TestSchemas:
 
     def test_eval_clips_doc_validates(self, schema_registry, eval_clips):
         validator = validator_for("eval-clips", schema_registry)
-        validator.validate(eval_clips_to_doc(eval_clips, CFG))
+        validator.validate(written(eval_clips_to_doc(eval_clips, CFG)))
 
     def test_predictions_doc_validates(self, schema_registry, some_predictions):
         validator = validator_for("predictions", schema_registry)
-        validator.validate(predictions_to_doc(some_predictions))
+        validator.validate(written(predictions_to_doc(some_predictions)))
 
     def test_targets_doc_validates(self, schema_registry, eval_clips):
         validator = validator_for("targets", schema_registry)
@@ -833,8 +934,7 @@ class TestSchemas:
                 (c.clip_id, assign_for_variant(variant, c.gt_actions, CFG))
                 for c in eval_clips[:6]
             ]
-            # the file as written: the document holds the shared one-hot tuples
-            validator.validate(json.loads(dump_json(targets_to_doc(pairs, CFG, variant))))
+            validator.validate(written(targets_to_doc(pairs, CFG, variant)))
 
     def test_schema_rejects_bad_half(self, schema_registry):
         validator = validator_for("annotations", schema_registry)
@@ -888,6 +988,7 @@ class TestSchemas:
 
     def test_schema_rejects_wrong_format_tag(self, schema_registry, eval_clips):
         validator = validator_for("eval-clips", schema_registry)
-        doc = eval_clips_to_doc(eval_clips[:1], CFG)
+        doc = written(eval_clips_to_doc(eval_clips[:1], CFG))
+        assert validator.is_valid(doc)
         doc["format"] = FORMAT_EVAL_CLIPS + "-not"
         assert not validator.is_valid(doc)

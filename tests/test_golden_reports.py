@@ -13,6 +13,7 @@ not only to itself (acceptance 8 checks repeat runs of one build).
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from dataclasses import asdict
@@ -175,7 +176,8 @@ def multi_variant_loss_doc(corpus) -> dict:
         ]
         assignment = assign_for_variant(variant, clip.future_actions, cfg, outputs)
         grid = segmentation_targets(clip, cfg)
-        targets = targets_to_doc([(clip.clip_id, assignment)], cfg, variant)["clips"][0]
+        doc = json.loads(dump_json(targets_to_doc([(clip.clip_id, assignment)], cfg, variant)))
+        targets = doc["clips"][0]  # the record as a targets file holds it
         records.append(
             {
                 "id": f"{variant.value}/{clip.clip_id}",
