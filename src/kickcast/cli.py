@@ -134,13 +134,16 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
 
 
 def _deltas(text: str) -> tuple[float, ...]:
-    """The ``--deltas`` tolerances, at most :data:`~kickcast.config.MAX_TOLERANCES` of them."""
+    """The ``--deltas`` tolerances: distinct, at most :data:`~kickcast.config.MAX_TOLERANCES`."""
     count = text.count(",") + 1
     if count > MAX_TOLERANCES:
         raise ValueError(
             f"--deltas lists {count} tolerances, at most {MAX_TOLERANCES} are allowed"
         )
-    return tuple(parse_delta(part) for part in text.split(","))
+    deltas = tuple(parse_delta(part) for part in text.split(","))
+    if len(set(deltas)) != len(deltas):  # by value: "1,1.0" and "inf,Infinity" too
+        raise ValueError(f"duplicate tolerances in {deltas!r}")
+    return deltas
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

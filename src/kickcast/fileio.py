@@ -421,10 +421,20 @@ def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> No
 
 def _prediction(rec: dict) -> Prediction:
     time_s, confidence, label = rec["time_s"], rec["confidence"], rec["label"]
-    # inline: the common case pays for no call here
-    if type(time_s) is not float or type(confidence) is not float or type(label) is not str:
-        time_s, confidence = number(time_s, "time_s"), number(confidence, "confidence")
-        exact(label, str, "label")
+    clip_id = rec.get("clip_id")  # a missing one is reported after the number fields
+    # One inline test passes a well-formed record, which is then built without
+    # Prediction's second check; any other takes the checked path and its errors.
+    if (
+        type(time_s) is float
+        and type(confidence) is float
+        and type(label) is str
+        and type(clip_id) is str
+        and 0.0 <= time_s < math.inf
+        and 0.0 <= confidence <= 1.0
+    ):
+        return tuple.__new__(Prediction, (clip_id, parse_label(label), time_s, confidence, False))
+    time_s, confidence = number(time_s, "time_s"), number(confidence, "confidence")
+    exact(label, str, "label")
     return Prediction(exact(rec["clip_id"], str, "clip_id"), parse_label(label), time_s, confidence)
 
 

@@ -13,13 +13,15 @@ A :class:`Prediction` is a validating tuple that unpacks as the 5-tuple
 tens of thousands, so building and reading one must cost little.
 
 ``evaluate`` buckets the predictions by class in one pass and ranks each
-class once (two stable sorts, so identical predictions keep their input
-order); read within one clip, that ranking is also the matching order.  Per
-tolerance only (clip, class) groups with ground truth are matched, by
-bisection into their sorted times, and a group stops once all its ground
-truths are taken.  AP visits only TP ranks and adds one exact rational per
-precision-envelope segment, rounded once at the end, so reports are
-bit-for-bit reproducible and independent of input order.
+class once, by three stable sorts on the scalar keys clip id, time and
+confidence, so identical predictions keep their input order; read within one
+clip, that ranking is also the matching order.  Only predictions whose clip
+has ground truth of their class are grouped, after a filter that runs no
+Python code per prediction.  Per tolerance only those (clip, class) groups
+are matched, by bisection into their sorted times, and a group stops once all
+its ground truths are taken.  AP visits only TP ranks and adds one exact
+rational per precision-envelope segment, rounded once at the end, so reports
+are bit-for-bit reproducible and independent of input order.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ class Prediction(_PredictionFields):
         return cls(*iterable)
 
 
-#: Ranking keys: ``(time_s, clip_id)`` and ``confidence`` of a Prediction.
-_TIME_CLIP = itemgetter(2, 0)
+#: Ranking keys: ``clip_id``, ``time_s`` and ``confidence`` of a Prediction.
+_CLIP = itemgetter(0)
+_TIME = itemgetter(2)
 _CONFIDENCE = itemgetter(3)
 
 
@@ -285,15 +288,16 @@ def evaluate(
 
     scores: dict[float, dict[ActionClass, ClassScore]] = {d: {} for d in deltas}
     for label, ranked in by_class.items():
-        # Two stable sorts give the order of the key (-confidence, time_s,
-        # clip_id) without calling a Python function per prediction.
-        ranked.sort(key=_TIME_CLIP)
+        # Three stable sorts give the order of the key (-confidence, time_s,
+        # clip_id) with scalar compares and no key tuple per prediction.
+        ranked.sort(key=_CLIP)
+        ranked.sort(key=_TIME)
         ranked.sort(key=_CONFIDENCE, reverse=True)
         class_gt = {clip_id: sorted(times) for clip_id, times in gt_times[label].items()}
         groups: dict[str, list[tuple[int, float]]] = {}
-        for slot, (clip_id, _, time_s, _, _) in enumerate(ranked):
-            if clip_id in class_gt:
-                groups.setdefault(clip_id, []).append((slot, time_s))
+        has_gt = map(class_gt.__contains__, map(_CLIP, ranked))
+        for slot, (clip_id, _, time_s, _, _) in compress(enumerate(ranked), has_gt):
+            groups.setdefault(clip_id, []).append((slot, time_s))
         total = sum(map(len, class_gt.values()))
         for delta in deltas:
             flags = [False] * len(ranked)

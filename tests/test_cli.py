@@ -560,6 +560,29 @@ class TestBadInput:
         )
 
     @pytest.mark.parametrize(
+        "deltas, shown",
+        [
+            ("1,1", "(1.0, 1.0)"),
+            ("1,1.0", "(1.0, 1.0)"),
+            ("2,1,2.0", "(2.0, 1.0, 2.0)"),
+            ("inf,Infinity", "(inf, inf)"),
+        ],
+    )
+    def test_duplicate_tolerances_checked_before_any_file_is_read(
+        self, capsys, monkeypatch, deltas, shown
+    ):
+        def unreachable(path):
+            raise AssertionError(f"{path} was read before --deltas was checked")
+
+        monkeypatch.setattr(cli, "read_eval_clips", unreachable)
+        monkeypatch.setattr(cli, "read_predictions", unreachable)
+        argv = ["evaluate", "--gt", "clips.json", "--pred", "preds.json", "--deltas", deltas]
+        code, out, err = run(argv, capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert err == f"kickcast: error: duplicate tolerances in {shown}\n"
+
+    @pytest.mark.parametrize(
         "deltas",
         [[k / 2 for k in range(1, 121)], [k / 4 for k in range(1, MAX_TOLERANCES + 1)]],
         ids=["0.5-60s-sweep", "at-the-bound"],

@@ -423,6 +423,83 @@ class TestPredictionsFile:
         with pytest.raises(FileFormatError, match="prediction #0"):
             read_predictions(path)
 
+    @staticmethod
+    def read_one(tmp_path, record):
+        """The second prediction of a file whose first one is well formed."""
+        good = '{"clip_id": "c", "label": "Pass", "time_s": 1.0, "confidence": 0.5}'
+        path = tmp_path / "preds.json"
+        path.write_text(
+            '{"format": "kickcast-predictions", "version": 1, '
+            f'"predictions": [{good}, {record}]}}'
+        )
+        return read_predictions(path)[1]
+
+    @pytest.mark.parametrize(
+        "time_s, confidence, want",
+        [
+            ("0", "1", (0.0, 1.0)),
+            ("1", "0", (1.0, 0.0)),
+            ("-0.0", "1.0", (-0.0, 1.0)),
+            ("0.0", "-0.0", (0.0, -0.0)),
+            ("1e308", "5e-324", (1e308, 5e-324)),
+        ],
+        ids=["ints", "ints-swapped", "negative-zero-time", "negative-zero-confidence", "extremes"],
+    )
+    def test_edge_numbers_accepted(self, tmp_path, time_s, confidence, want):
+        fields = f'"time_s": {time_s}, "confidence": {confidence}'
+        pred = self.read_one(tmp_path, f'{{"clip_id": "c", "label": "Pass", {fields}}}')
+        assert type(pred) is Prediction
+        assert pred == ("c", ActionClass.PASS, *want, False)
+        assert [type(v) for v in pred] == [str, ActionClass, float, float, bool]
+        assert [math.copysign(1.0, v) for v in pred[2:4]] == [math.copysign(1.0, v) for v in want]
+
+    @pytest.mark.parametrize(
+        "time_s, confidence, error",
+        [
+            ("NaN", "0.5", "prediction time nan must be finite and >= 0"),
+            ("Infinity", "0.5", "prediction time inf must be finite and >= 0"),
+            ("-Infinity", "0.5", "prediction time -inf must be finite and >= 0"),
+            ("-0.5", "0.5", "prediction time -0.5 must be finite and >= 0"),
+            ("1.0", "NaN", "confidence nan outside [0, 1]"),
+            ("1.0", "Infinity", "confidence inf outside [0, 1]"),
+            ("1.0", "1.5", "confidence 1.5 outside [0, 1]"),
+            ("1.0", "-0.5", "confidence -0.5 outside [0, 1]"),
+            ("NaN", "1.5", "prediction time nan must be finite and >= 0"),
+        ],
+        ids=[
+            "nan-time", "inf-time", "minus-inf-time", "negative-time", "nan-confidence",
+            "inf-confidence", "confidence-1.5", "negative-confidence", "time-before-confidence",
+        ],
+    )
+    def test_out_of_range_rejected(self, tmp_path, time_s, confidence, error):
+        fields = f'"time_s": {time_s}, "confidence": {confidence}'
+        with pytest.raises(FileFormatError) as info:
+            self.read_one(tmp_path, f'{{"clip_id": "c", "label": "Pass", {fields}}}')
+        assert str(info.value) == f"{tmp_path / 'preds.json'}: prediction #1: {error}"
+
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            (
+                '{"label": "Pass", "time_s": "2.5", "confidence": 0.5}',
+                "time_s must be a number, got '2.5'",
+            ),
+            ('{"label": "Pass", "time_s": 2.5, "confidence": 0.5}', "missing field 'clip_id'"),
+            (
+                '{"clip_id": 7, "label": "Pass", "time_s": NaN, "confidence": 0.5}',
+                "clip_id must be a string, got 7",
+            ),
+            (
+                '{"clip_id": "c", "label": "Nope", "time_s": NaN, "confidence": 0.5}',
+                "unknown label 'Nope'",
+            ),
+        ],
+        ids=["time-before-missing-clip", "missing-clip", "clip-before-range", "label-before-range"],
+    )
+    def test_error_precedence(self, tmp_path, record, error):
+        with pytest.raises(FileFormatError) as info:
+            self.read_one(tmp_path, record)
+        assert str(info.value) == f"{tmp_path / 'preds.json'}: prediction #1: {error}"
 
     @pytest.mark.parametrize("label", [7, ["Pass"], {"name": "Pass"}, None])
     def test_non_string_label_rejected(self, tmp_path, label):
@@ -834,6 +911,10 @@ class TestSchemas:
             "predictions": (written(predictions_to_doc(some_predictions)), read_predictions),
             "loss-check": (full_loss_check_doc, read_loss_check),
         }[name]
+        if name == "predictions":
+            # An integer time takes the reader's checked path, which types
+            # every field; the well-formed records skip it.
+            doc["predictions"].append({**doc["predictions"][0], "time_s": 0})
         validator_for(name, schema_registry).validate(doc)
         lookups, typed = [], set()
         load, exact = fileio._load, fileio.exact

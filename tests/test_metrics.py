@@ -541,12 +541,12 @@ _TIED_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, 4.0, 5.0])
 
 
 @st.composite
-def tied_instances(draw, game="t/unit"):
+def tied_instances(draw, games=("t/unit",)):
     """Clips with zero to two ground truths per class and dense tied predictions.
 
     Each clip gets a q x C block of predictions: every slot emits every
     drawn class, so many predictions of one (clip, class) group share the
-    same one or two ground truths.
+    same one or two ground truths.  Each clip's game is drawn from ``games``.
     """
     labels = [PASS, SHOT, ActionClass.DRIVE]
     clips, preds = [], []
@@ -557,7 +557,7 @@ def tied_instances(draw, game="t/unit"):
             for _ in range(draw(st.integers(0, 2)))
         ]
         gt.sort(key=lambda pair: pair[1])
-        clip = make_clip(gt, clip_seq=k, game=game)
+        clip = make_clip(gt, clip_seq=k, game=draw(st.sampled_from(games)))
         clips.append(clip)
         for _ in range(draw(st.integers(0, 6))):  # slots
             time_s = draw(_TIED_TIMES)
@@ -571,7 +571,20 @@ class TestNaiveEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(tied_instances(), st.sampled_from([(1.0,), (2.0, math.inf), (1.0, 3.0, 5.0)]))
     def test_tied_dense_groups_against_reference(self, instance, deltas):
+        self.assert_reference_scores(*instance, deltas)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_instances(games=("a", "a0")), st.sampled_from([(1.0,), (2.0, 5.0)]))
+    def test_prefix_game_ids_against_reference(self, instance, deltas):
+        # "a0:1:..." sorts before "a:1:..." ("0" < ":"), though game "a" sorts
+        # before "a0": equal confidence and time are decided by the whole clip id.
         clips, preds = instance
+        self.assert_reference_scores(clips, preds, deltas)
+        at_inf = evaluate(clips, preds, (math.inf,)).scores[math.inf]
+        assert at_inf == closed_form_at_inf(clips, preds)
+
+    @staticmethod
+    def assert_reference_scores(clips, preds, deltas):
         report = evaluate(clips, preds, deltas=deltas)
         aps, maps, avg = naive_evaluate(clips, preds, deltas, RETAINED_CLASSES)
         for delta in deltas:
@@ -665,7 +678,7 @@ class TestClosedFormOracles:
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(2, 3).flatmap(
-            lambda n: st.tuples(*(tied_instances(game=f"t/game-{i}") for i in range(n)))
+            lambda n: st.tuples(*(tied_instances(games=(f"t/game-{i}",)) for i in range(n)))
         )
     )
     def test_counts_add_up_over_games(self, games):
