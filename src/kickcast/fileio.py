@@ -37,6 +37,7 @@ import io
 import json
 import math
 from dataclasses import asdict, fields
+from itertools import groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -66,10 +67,6 @@ def _encode_float(value: float) -> str:
     return float.__repr__(value)
 
 
-class _Text(str):
-    """JSON text of a value, laid out for the depth it is placed at: written as it is."""
-
-
 #: JSON text of a scalar, keyed by its exact type.
 _SCALARS: dict[type, Callable[[Any], str]] = {
     str: _encode_str,
@@ -77,7 +74,6 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
     float: _encode_float,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
-    _Text: lambda text: text,
 }
 
 
@@ -93,14 +89,19 @@ _NOTHING = object()
 
 
 class _Records:
-    """A record list built as it is written: ``build(item)`` of each item, on every pass."""
+    """A record list built as it is written: ``build(item)`` of each item, on every pass.
+
+    ``build`` returns the record's text, laid out for a record of a writer's
+    document (depth 2: document, record list, record); :func:`_iter_json`
+    writes it as it is.
+    """
 
     __slots__ = ("build", "items")
 
-    def __init__(self, build: Callable[[Any], Any], items: list) -> None:
+    def __init__(self, build: Callable[[Any], str], items: list) -> None:
         self.build, self.items = build, items
 
-    def __iter__(self) -> Iterator[Any]:
+    def __iter__(self) -> Iterator[str]:
         return map(self.build, self.items)
 
 
@@ -165,6 +166,26 @@ def _layout(keys: tuple, depth: int) -> tuple[tuple[tuple[Any, str], ...], str]:
     return heads, _breaks(depth)[0] + "}"
 
 
+def _template(keys: tuple, depth: int) -> str:
+    """The text of a dict with ``keys`` at ``depth``, with a ``%s`` for each value.
+
+    The ``%s`` follow sorted key order, so the values are filled in, already
+    encoded at ``depth + 1``, in that order.  A ``%`` of the layout is escaped;
+    values are never part of the template, so a ``%`` in a value is just data.
+    """
+    heads, close = _layout(keys, depth)
+    body = "".join(head.replace("%", "%%") + "%s" for _, head in heads)
+    return "{" + body + close.replace("%", "%%")
+
+
+def _join(texts: list[str], depth: int) -> str:
+    """The text of a list at ``depth`` whose items, at ``depth + 1``, have ``texts``."""
+    if not texts:
+        return "[]"
+    newline, sep = _breaks(depth + 1)
+    return f"[{newline}{sep.join(texts)}{_breaks(depth)[0]}]"
+
+
 def _encode_dict(obj: dict, depth: int) -> str:
     if not obj:
         return "{}"
@@ -179,12 +200,21 @@ def _encode_dict(obj: dict, depth: int) -> str:
     return "".join(parts)
 
 
+def _item_texts(items: Iterable, depth: int) -> Iterator[str]:
+    """The text of each item at ``depth``; a run of one object is encoded once."""
+    prev = text = _NOTHING
+    for item in items:
+        if item is not prev:  # the run rule of _encode_list
+            text = _encode(prev := item, depth)
+        yield text
+
+
 def _iter_json(value: Any, depth: int = 0) -> Iterator[str]:
     """The text of ``value`` at ``depth`` in chunks: a dict entry by entry, a list item by item.
 
-    Each item of a list is encoded whole, so a document's record list comes
-    one record at a time, built as it comes if it is a :class:`_Records`.  At
-    depth 0 the text ends with a newline.
+    Each item of a list is encoded whole.  A :class:`_Records` yields its
+    records' text, so a writer's record list comes one record at a time, each
+    built as it comes.  At depth 0 the text ends with a newline.
     """
     if isinstance(value, dict):
         if not value:
@@ -197,15 +227,14 @@ def _iter_json(value: Any, depth: int = 0) -> Iterator[str]:
                 yield from _iter_json(value[key], depth + 1)
             yield close
     elif isinstance(value, (list, tuple, _Records)):
+        texts = value if type(value) is _Records else _item_texts(value, depth + 1)
         newline, sep = _breaks(depth + 1)
         lead = "[" + newline
-        prev = text = _NOTHING
-        for item in value:
-            if item is not prev:  # the run rule of _encode_list
-                text = _encode(prev := item, depth + 1)
+        empty = True
+        for text in texts:
             yield lead + text
-            lead = sep
-        yield "[]" if prev is _NOTHING else _breaks(depth)[0] + "]"
+            lead, empty = sep, False
+        yield "[]" if empty else _breaks(depth)[0] + "]"
     else:
         yield _encode(value, depth)
     if not depth:
@@ -219,9 +248,10 @@ def dump_json(doc: Any) -> str:
     allow_nan=False) + "\\n"`` for documents with string keys, which would run
     CPython's pure-Python encoder (any ``indent`` turns its C encoder off).  A
     run of one object is encoded once, and the sorted keys of a dict and the
-    text before each value are laid out once per key set and depth.  The
-    record list of a writer's document is built record by record as it is
-    encoded (see :func:`_iter_json`).
+    text before each value are laid out once per key set and depth.  A
+    writer's records are not dicts: each is encoded straight to text through a
+    template laid out once per record shape (:func:`_template`), record by
+    record as it is written (see :func:`_iter_json`).
     """
     return "".join(_iter_json(doc))
 
@@ -285,13 +315,34 @@ def format_delta(delta: float) -> str:
     return repr(float(delta))
 
 
+#: Smallest tolerance a text may name, in seconds: 1 ms, the resolution of clip spans.
+MIN_DELTA_S = 0.001
+
+#: The spellings of an unbounded tolerance, lower-cased: the only texts that may give ∞.
+_INF_SPELLINGS = ("inf", "+inf", "infinity", "+infinity")
+
+
 def parse_delta(text: str) -> float:
+    """A tolerance in seconds: at least :data:`MIN_DELTA_S`, or ``inf`` for none.
+
+    Any text ``float()`` takes, except digit separators (``_``), non-ASCII
+    digits and finite literals too large for a float, which ``float()`` would
+    read as ∞.
+    """
     try:
+        if "_" in text or not text.isascii():
+            raise ValueError
         value = float(text)  # also "inf" and "infinity", in any case, with surrounding spaces
     except ValueError:
-        raise FileFormatError(f"bad tolerance {text!r}") from None
+        raise FileFormatError(f"bad tolerance {brief(text)}") from None
     if not value > 0:
-        raise FileFormatError(f"tolerance must be positive, got {text!r}")
+        raise FileFormatError(f"tolerance must be positive, got {brief(text)}")
+    if value == math.inf and text.strip().lower() not in _INF_SPELLINGS:
+        raise FileFormatError(f"tolerance {brief(text)} is too large; write inf for no bound")
+    if value < MIN_DELTA_S:
+        raise FileFormatError(
+            f"tolerance must be at least {MIN_DELTA_S} s (1 ms), got {brief(text)}"
+        )
     return value
 
 
@@ -324,20 +375,39 @@ def _config(doc: Any, path: str | Path) -> BenchConfig:
 # --- eval clips -------------------------------------------------------------
 
 
-def _eval_clip_to_doc(clip: EvalClip) -> dict:
-    return {
-        "clip_id": clip.clip_id,
-        "game_id": clip.game_id,
-        "half": clip.half,
-        "context_start_ms": clip.context_start_ms,
-        "context_end_ms": clip.context_end_ms,
-        "anticipation_start_ms": clip.anticipation_start_ms,
-        "anticipation_end_ms": clip.anticipation_end_ms,
-        "partial": clip.partial,
-        "gt_actions": [
-            {"label": a.label.value, "offset_ms": a.offset_ms} for a in clip.gt_actions
-        ],
-    }
+_EVAL_CLIP = _template(
+    (
+        "anticipation_end_ms",
+        "anticipation_start_ms",
+        "clip_id",
+        "context_end_ms",
+        "context_start_ms",
+        "game_id",
+        "gt_actions",
+        "half",
+        "partial",
+    ),
+    2,
+)
+_GT_ACTION = _template(("label", "offset_ms"), 4)  # in a clip's gt_actions list
+
+
+def _eval_clip_text(clip: EvalClip) -> str:
+    actions = [
+        _GT_ACTION % (_encode(a.label.value, 5), _encode(a.offset_ms, 5))
+        for a in clip.gt_actions
+    ]
+    return _EVAL_CLIP % (
+        _encode(clip.anticipation_end_ms, 3),
+        _encode(clip.anticipation_start_ms, 3),
+        _encode(clip.clip_id, 3),
+        _encode(clip.context_end_ms, 3),
+        _encode(clip.context_start_ms, 3),
+        _encode(clip.game_id, 3),
+        _join(actions, 3),
+        _encode(clip.half, 3),
+        _encode(clip.partial, 3),
+    )
 
 
 def eval_clips_to_doc(clips: Iterable[EvalClip], cfg: BenchConfig) -> dict:
@@ -346,7 +416,7 @@ def eval_clips_to_doc(clips: Iterable[EvalClip], cfg: BenchConfig) -> dict:
         "format": FORMAT_EVAL_CLIPS,
         "version": VERSION,
         "config": config_to_doc(cfg),
-        "clips": _Records(_eval_clip_to_doc, sorted(clips, key=attrgetter("sort_key"))),
+        "clips": _Records(_eval_clip_text, sorted(clips, key=attrgetter("sort_key"))),
     }
 
 
@@ -394,24 +464,36 @@ def read_eval_clips(path: str | Path) -> tuple[list[EvalClip], BenchConfig]:
 # --- predictions ------------------------------------------------------------
 
 
-def _prediction_to_doc(p: Prediction) -> dict:
-    return {
-        "clip_id": p.clip_id,
-        "label": p.label.value,
-        "time_s": p.time_s,
-        "confidence": p.confidence,
-    }
+_PREDICTION = _template(("clip_id", "confidence", "label", "time_s"), 2)
+
+
+def _prediction_text(p: Prediction) -> str:
+    return _PREDICTION % (
+        _encode(p.clip_id, 3),
+        _encode(p.confidence, 3),
+        _encode(p.label.value, 3),
+        _encode(p.time_s, 3),
+    )
+
+
+_CLIP_ID = attrgetter("clip_id")
+
+
+def _in_clip_order(p: Prediction) -> tuple[str, float, float]:
+    return (p.label.value, p.time_s, -p.confidence)
 
 
 def predictions_to_doc(predictions: Iterable[Prediction]) -> dict:
     """The predictions document; its records are built as they are written."""
-    ordered = sorted(
-        predictions, key=lambda p: (p.clip_id, p.label.value, p.time_s, -p.confidence)
-    )
+    # The order of the key (clip_id, label, time_s, -confidence), with key
+    # tuples for one clip at a time: for the whole file they would take about
+    # as much memory as its text.
+    by_clip = groupby(sorted(predictions, key=_CLIP_ID), _CLIP_ID)
+    ordered = [p for _, clip in by_clip for p in sorted(clip, key=_in_clip_order)]
     return {
         "format": FORMAT_PREDICTIONS,
         "version": VERSION,
-        "predictions": _Records(_prediction_to_doc, ordered),
+        "predictions": _Records(_prediction_text, ordered),
     }
 
 
@@ -446,18 +528,19 @@ def read_predictions(path: str | Path) -> list[Prediction]:
 # --- targets ----------------------------------------------------------------
 
 
-def _slot_to_doc(slot: SlotTarget) -> dict:
-    return {
-        "gt_index": slot.gt_index,
-        "actionness": slot.actionness,
-        "class_index": slot.class_index,
-        "class_multihot": slot.class_multihot or None,
-        "time": slot.time,
-    }
+_TARGET_CLIP = _template(("clip_id", "slots", "truncated"), 2)
+#: A slot is at depth 4 in a targets document: document, clips, clip, slots, slot.
+_SLOT = _template(("actionness", "class_index", "class_multihot", "gt_index", "time"), 4)
 
 
-#: Depth of a slot object in a targets document: document, clips, clip, slots, slot.
-_SLOT_DEPTH = 4
+def _slot_text(slot: SlotTarget) -> str:
+    return _SLOT % (
+        _encode(slot.actionness, 5),
+        _encode(slot.class_index, 5),
+        _encode(slot.class_multihot or None, 5),
+        _encode(slot.gt_index, 5),
+        _encode(slot.time, 5),
+    )
 
 
 def targets_to_doc(
@@ -469,23 +552,27 @@ def targets_to_doc(
 
     The head's shared unpaired slots (:data:`~kickcast.targets.BLANK`, its
     ``unpaired`` target and :data:`~kickcast.targets.UNCONSTRAINED`) recur in
-    most clips, so each is encoded once per document, as slot text.  They are
-    found by identity, not value: ``SlotTarget(actionness=0)`` equals
+    most clips, so each is encoded once per document.  They are found by
+    identity, not value: ``SlotTarget(actionness=0)`` equals
     ``SlotTarget(actionness=0.0)`` but encodes differently.  The memo holds
     each object next to its text, so its id is never reused.  Paired slots
-    never recur; they stay dicts.
+    never recur; each is encoded as it comes.
     """
     shared = {
-        id(slot): (slot, _Text(_encode(_slot_to_doc(slot), _SLOT_DEPTH)))
+        id(slot): (slot, _slot_text(slot))
         for slot in (BLANK, HEADS[variant].unpaired, UNCONSTRAINED)
     }
 
-    def record(pair: tuple[str, Assignment]) -> dict:
+    def record(pair: tuple[str, Assignment]) -> str:
         clip_id, assignment = pair
         slots = [
-            hit[1] if (hit := shared.get(id(s))) else _slot_to_doc(s) for s in assignment.slots
+            hit[1] if (hit := shared.get(id(s))) else _slot_text(s) for s in assignment.slots
         ]
-        return {"clip_id": clip_id, "truncated": assignment.truncated, "slots": slots}
+        return _TARGET_CLIP % (
+            _encode(clip_id, 3),
+            _join(slots, 3),
+            _encode(assignment.truncated, 3),
+        )
 
     return {
         "format": FORMAT_TARGETS,

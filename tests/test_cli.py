@@ -583,6 +583,30 @@ class TestBadInput:
         assert err == f"kickcast: error: duplicate tolerances in {shown}\n"
 
     @pytest.mark.parametrize(
+        "deltas, error",
+        [
+            ("1e309,5", "tolerance '1e309' is too large; write inf for no bound"),
+            ("1_0", "bad tolerance '1_0'"),
+            ("1,1e-320", "tolerance must be at least 0.001 s (1 ms), got '1e-320'"),
+            ("0.0005,5", "tolerance must be at least 0.001 s (1 ms), got '0.0005'"),
+        ],
+        ids=["overflow", "separator", "subnormal", "sub-millisecond"],
+    )
+    def test_out_of_range_tolerance_checked_before_any_file_is_read(
+        self, capsys, monkeypatch, deltas, error
+    ):
+        def unreachable(path):
+            raise AssertionError(f"{path} was read before --deltas was checked")
+
+        monkeypatch.setattr(cli, "read_eval_clips", unreachable)
+        monkeypatch.setattr(cli, "read_predictions", unreachable)
+        argv = ["evaluate", "--gt", "clips.json", "--pred", "preds.json", "--deltas", deltas]
+        code, out, err = run(argv, capsys)
+        self.assert_one_error_line(code, err)
+        assert out == ""
+        assert err == f"kickcast: error: {error}\n"
+
+    @pytest.mark.parametrize(
         "deltas",
         [[k / 2 for k in range(1, 121)], [k / 4 for k in range(1, MAX_TOLERANCES + 1)]],
         ids=["0.5-60s-sweep", "at-the-bound"],

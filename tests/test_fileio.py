@@ -54,8 +54,17 @@ from kickcast.fileio import (
 )
 from kickcast.losses import SlotOutput
 from kickcast.metrics import Prediction, evaluate
-from kickcast.targets import HEADS, Assignment, HeadVariant, SlotTarget, assign_for_variant
-from kickcast.windowing import make_train_clips, segmentation_targets
+from kickcast.targets import (
+    BLANK,
+    HEADS,
+    ONE_HOT,
+    UNCONSTRAINED,
+    Assignment,
+    HeadVariant,
+    SlotTarget,
+    assign_for_variant,
+)
+from kickcast.windowing import EvalClip, GtAction, make_train_clips, segmentation_targets
 
 from conftest import REPO_ROOT, SCHEMA_DIR
 
@@ -90,10 +99,83 @@ def oracle_dump(doc):
 def written(doc):
     """A writer's document as its file holds it: lists and dicts only.
 
-    The writers build their records as they write them, and a targets
-    document holds its shared slots as encoded text.
+    The writers encode each record straight to text as they write it, so
+    their documents hold no record dicts.
     """
     return json.loads(dump_json(doc))
+
+
+# Each writer's document as plain dicts and lists, written out field by field
+# for the stdlib encoder to dump.
+
+
+def plain_eval_clips_doc(clips, cfg):
+    return {
+        "format": "kickcast-eval-clips",
+        "version": 1,
+        "config": config_to_doc(cfg),
+        "clips": [
+            {
+                "clip_id": c.clip_id,
+                "game_id": c.game_id,
+                "half": c.half,
+                "context_start_ms": c.context_start_ms,
+                "context_end_ms": c.context_end_ms,
+                "anticipation_start_ms": c.anticipation_start_ms,
+                "anticipation_end_ms": c.anticipation_end_ms,
+                "partial": c.partial,
+                "gt_actions": [
+                    {"label": a.label.value, "offset_ms": a.offset_ms} for a in c.gt_actions
+                ],
+            }
+            for c in sorted(clips, key=lambda c: (c.game_id, c.half, c.anticipation_start_ms))
+        ],
+    }
+
+
+def plain_predictions_doc(predictions):
+    ordered = sorted(
+        predictions, key=lambda p: (p.clip_id, p.label.value, p.time_s, -p.confidence)
+    )
+    return {
+        "format": "kickcast-predictions",
+        "version": 1,
+        "predictions": [
+            {
+                "clip_id": p.clip_id,
+                "label": p.label.value,
+                "time_s": p.time_s,
+                "confidence": p.confidence,
+            }
+            for p in ordered
+        ],
+    }
+
+
+def plain_targets_doc(pairs, cfg, variant):
+    return {
+        "format": "kickcast-targets",
+        "version": 1,
+        "config": config_to_doc(cfg),
+        "variant": variant.value,
+        "clips": [
+            {
+                "clip_id": clip_id,
+                "truncated": a.truncated,
+                "slots": [
+                    {
+                        "gt_index": s.gt_index,
+                        "actionness": s.actionness,
+                        "class_index": s.class_index,
+                        "class_multihot": list(s.class_multihot) if s.class_multihot else None,
+                        "time": s.time,
+                    }
+                    for s in a.slots
+                ],
+            }
+            for clip_id, a in sorted(pairs, key=lambda p: p[0])
+        ],
+    }
 
 
 JSON_SCALARS = st.one_of(
@@ -269,6 +351,49 @@ class TestDeltaCodec:
             parse_delta("soon")
         with pytest.raises(ValueError):
             parse_delta("-1")
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("1_0", "bad tolerance '1_0'"),
+            ("1_000.5", "bad tolerance '1_000.5'"),
+            ("\u0661", "bad tolerance '\u0661'"),
+            ("\uff15", "bad tolerance '\uff15'"),
+            ("1e309", "tolerance '1e309' is too large; write inf for no bound"),
+            # A long text is quoted cut to 80 characters.
+            ("1" * 400, "tolerance '" + "1" * 79 + "... is too large; write inf for no bound"),
+            ("x" * 300_000, "bad tolerance '" + "x" * 79 + "..."),
+            ("1e-320", "tolerance must be at least 0.001 s (1 ms), got '1e-320'"),
+            ("0.0009", "tolerance must be at least 0.001 s (1 ms), got '0.0009'"),
+            ("0", "tolerance must be positive, got '0'"),
+            ("-inf", "tolerance must be positive, got '-inf'"),
+            ("nan", "tolerance must be positive, got 'nan'"),
+        ],
+        ids=[
+            "separator", "separator-fraction", "arabic-indic-digit", "fullwidth-digit",
+            "overflow", "long-overflow", "long-junk", "subnormal",
+            "sub-millisecond", "zero", "minus-inf", "nan",
+        ],
+    )
+    def test_parse_rejects_out_of_range(self, text, error):
+        with pytest.raises(FileFormatError) as info:
+            parse_delta(text)
+        assert str(info.value) == error
+
+    @pytest.mark.parametrize(
+        "text, delta",
+        [
+            ("0.001", 0.001),
+            ("1e-3", 0.001),
+            ("1e308", 1e308),
+            ("inf", math.inf),
+            ("Infinity", math.inf),
+            (" +INF ", math.inf),
+            ("+infinity", math.inf),
+        ],
+    )
+    def test_parse_accepts_the_bounds(self, text, delta):
+        assert parse_delta(text) == delta
 
 
 class TestConfigCodec:
@@ -546,29 +671,7 @@ class TestTargetsFile:
             for game in corpus
             for c in make_train_clips(game, cfg)[::7]
         ]
-        fresh = {
-            "format": "kickcast-targets",
-            "version": 1,
-            "config": config_to_doc(cfg),
-            "variant": variant.value,
-            "clips": [
-                {
-                    "clip_id": clip_id,
-                    "truncated": a.truncated,
-                    "slots": [
-                        {
-                            "gt_index": s.gt_index,
-                            "actionness": s.actionness,
-                            "class_index": s.class_index,
-                            "class_multihot": list(s.class_multihot) if s.class_multihot else None,
-                            "time": s.time,
-                        }
-                        for s in a.slots
-                    ],
-                }
-                for clip_id, a in sorted(pairs, key=lambda p: p[0])
-            ],
-        }
+        fresh = plain_targets_doc(pairs, cfg, variant)
         assert dump_json(targets_to_doc(pairs, cfg, variant)) == oracle_dump(fresh)
 
     def test_equal_slots_of_different_types_keep_their_text(self):
@@ -581,6 +684,105 @@ class TestTargetsFile:
         doc = targets_to_doc([("c", Assignment(HeadVariant.Q_ACT, slots))], CFG, HeadVariant.Q_ACT)
         values = [json.loads(dump_json(doc))["clips"][0]["slots"][i]["actionness"] for i in range(5)]
         assert [type(v) for v in values] == [int, int, float, float, int]
+
+
+    def test_non_finite_slot_fails_cleanly(self, tmp_path):
+        # The good records before the bad one overflow the write buffer, so the
+        # temporary file holds bytes when the NaN is met.
+        path = tmp_path / "targets.json"
+        path.write_bytes(b"old bytes\n")
+        paired = SlotTarget(gt_index=0, actionness=1.0, class_index=0, time=math.nan)
+        pairs = [(f"c{k:04d}", Assignment(HeadVariant.Q_ACT, (BLANK,) * 8)) for k in range(2000)]
+        pairs.append(("d", Assignment(HeadVariant.Q_ACT, (paired,) + (BLANK,) * 7)))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_targets(path, pairs, CFG, HeadVariant.Q_ACT)
+        assert path.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
+#: Ids with the text a %-template or a JSON string could trip on.
+RECORD_IDS = st.one_of(
+    st.sampled_from(["a", "a0", "a:1", "%", "%s", "%%", "%(x)s", '"', "\\", "\u00e9", ":"]),
+    st.text(alphabet='%s()"\\:a0\u00e9\u2028\U0001f600 ', max_size=8),
+    st.text(max_size=6),
+)
+LABELS = st.sampled_from(list(ActionClass))
+#: A slot number field: an int or a float (0 and 0.0 are written differently), or None;
+#: subclasses are written as their base type.
+SLOT_NUMBERS = st.one_of(
+    st.none(),
+    st.integers(-3, 2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, Level.HIGH, Ratio(0.5)]),
+)
+EVAL_CLIPS = st.builds(
+    lambda game_id, half, start, span, partial, actions: EvalClip(
+        game_id, half, start, start + span, partial, tuple(actions)
+    ),
+    RECORD_IDS,
+    st.integers(1, 2),
+    st.integers(0, 10**7),
+    st.integers(1, 10_000),
+    st.booleans(),
+    st.lists(st.builds(GtAction, LABELS, st.integers(0, 9_999)), max_size=3),
+)
+PREDICTIONS = st.builds(
+    Prediction,
+    RECORD_IDS,
+    LABELS,
+    st.one_of(
+        st.sampled_from([0, 1, 0.0, -0.0, 1.0]), st.integers(0, 10**6), st.floats(0.0, 1e6)
+    ),
+    st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 0.5]), st.floats(0.0, 1.0)),
+)
+SLOTS = st.one_of(
+    st.sampled_from([BLANK, UNCONSTRAINED, *(head.unpaired for head in HEADS.values())]),
+    st.builds(
+        SlotTarget,
+        gt_index=st.one_of(st.none(), st.integers(0, 20)),
+        actionness=SLOT_NUMBERS,
+        class_index=st.one_of(st.none(), st.integers(0, 10)),
+        class_multihot=st.one_of(st.none(), st.just(()), st.sampled_from(ONE_HOT)),
+        time=SLOT_NUMBERS,
+    ),
+)
+ASSIGNMENTS = st.tuples(
+    RECORD_IDS,
+    st.builds(
+        lambda slots, truncated: Assignment(HeadVariant.Q_ACT, tuple(slots), truncated),
+        st.lists(SLOTS, max_size=6),
+        st.booleans(),
+    ),
+)
+
+
+class TestWriterBytes:
+    """Each writer's text is the stdlib encoder's for the same document as plain dicts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(EVAL_CLIPS, max_size=6), st.sampled_from([5.0, 10.0]))
+    def test_eval_clips(self, clips, ta):
+        cfg = BenchConfig(anticipation_s=ta)
+        doc = eval_clips_to_doc(clips, cfg)
+        text = dump_json(doc)
+        assert text == oracle_dump(plain_eval_clips_doc(clips, cfg))
+        assert dump_json(doc) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(PREDICTIONS, max_size=8))
+    def test_predictions(self, predictions):
+        doc = predictions_to_doc(predictions)
+        text = dump_json(doc)
+        assert text == oracle_dump(plain_predictions_doc(predictions))
+        assert dump_json(doc) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(ASSIGNMENTS, max_size=6), st.sampled_from(list(HeadVariant)))
+    def test_targets(self, pairs, variant):
+        doc = targets_to_doc(pairs, CFG, variant)
+        text = dump_json(doc)
+        assert text == oracle_dump(plain_targets_doc(pairs, CFG, variant))
+        assert dump_json(doc) == text
 
 
 class TestTargetsMemory:
@@ -597,6 +799,23 @@ class TestTargetsMemory:
         tracemalloc.start()
         try:
             write_targets(path, pairs, cfg, HeadVariant.Q_BCE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 2, (peak, size)
+
+
+class TestPredictionsMemory:
+    def test_write_peak_is_a_fraction_of_the_file(self, eval_clips, tmp_path):
+        # Predictions are encoded and written one at a time, like targets, and
+        # sorted with key tuples for one clip at a time.
+        predictions = run_baseline(eval_clips, BaselineSpec(kind="random", per_clip=20))
+        path = tmp_path / "preds.json"
+        tracemalloc.start()
+        try:
+            write_predictions(path, predictions)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
