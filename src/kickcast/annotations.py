@@ -62,6 +62,11 @@ class ActionClass(enum.Enum):
     FREE_KICK = "Free Kick"
     GOAL = "Goal"
 
+    # Members are singletons compared by identity, so identity hashing agrees
+    # with equality; Enum's own __hash__ is a Python call on every dict lookup.
+    # No output order depends on it: the one set of members is sorted by value.
+    __hash__ = object.__hash__
+
 
 #: The ten classes retained for scoring, in canonical index order.
 RETAINED_CLASSES: tuple[ActionClass, ...] = tuple(ActionClass)[:NUM_CLASSES]

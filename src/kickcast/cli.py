@@ -22,12 +22,11 @@ import argparse
 import gc
 import math
 import sys
-from dataclasses import asdict
 from typing import Sequence
 
 from .annotations import GameAnnotations, class_stats, load_corpus
 from .baselines import BASELINE_KINDS, BaselineSpec, run_baseline
-from .config import MAX_TOLERANCES, BenchConfig
+from .config import MAX_HALF_MS, MAX_TOLERANCES, MAX_WINDOWS_PER_HALF, BenchConfig
 from .fileio import (
     RENDERERS,
     VERSION,
@@ -53,7 +52,7 @@ from .losses import (
 )
 from .metrics import DEFAULT_DELTAS, evaluate
 from .targets import HEADS, HeadVariant, assign_for_variant
-from .windowing import make_eval_clips, make_train_clips
+from .windowing import make_eval_clips, make_train_clips, train_stride_ms
 
 
 def _add_ta_arg(parser: argparse.ArgumentParser) -> None:
@@ -66,6 +65,22 @@ def _split(games: Sequence[GameAnnotations], split: str | None) -> list[GameAnno
     if not chosen:
         raise ValueError(f"no games to process in split {split!r}")
     return chosen
+
+
+def _bound_windows(flag: str, seconds: float, stride_ms: int) -> None:
+    """Refuse a stride that tiles the longest half into too many windows.
+
+    Arithmetic on :data:`~kickcast.config.MAX_HALF_MS` and the stride, so it
+    runs before any file is read or game tiled; the limit is
+    :data:`~kickcast.config.MAX_WINDOWS_PER_HALF`.
+    """
+    windows = -(-MAX_HALF_MS // stride_ms)
+    if windows > MAX_WINDOWS_PER_HALF:
+        raise ValueError(
+            f"{flag} {seconds!r} tiles a {MAX_HALF_MS} ms half at a {stride_ms} ms stride "
+            f"into up to {windows} windows; at most {MAX_WINDOWS_PER_HALF} windows per half "
+            "are allowed"
+        )
 
 
 def _eval_clips(games: Sequence[GameAnnotations], cfg: BenchConfig) -> list:
@@ -85,6 +100,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = BenchConfig(anticipation_s=args.ta)
+    _bound_windows("--ta", args.ta, cfg.anticipation_ms)
     games = _split(load_corpus(args.annotations), args.split)
     write_eval_clips(args.out, _eval_clips(games, cfg), cfg)
     return 0
@@ -100,6 +116,7 @@ def cmd_targets(args: argparse.Namespace) -> int:
     cfg = BenchConfig(
         context_s=args.tc, anticipation_s=args.ta, fps=args.fps, queries=args.queries
     )
+    _bound_windows("--tc", args.tc, train_stride_ms(cfg))
     games = _split(load_corpus(args.annotations), args.split)
     records = []
     for game in games:
@@ -124,10 +141,29 @@ def cmd_loss_check(args: argparse.Namespace) -> int:
                 loss_time(outputs, assignment),
                 loss_segmentation(*seg, weights) if seg else 0.0,
             )
+            total = total_loss(parts, cfg)
         except LossError as exc:
             raise LossError(f"{args.file}: clip #{i} ({clip_id}): {exc}") from exc
-        rows.append({"id": clip_id, **asdict(parts), "total": total_loss(parts, cfg)})
-    mean = {k: math.fsum(row[k] for row in rows) / len(rows) for k in rows[0] if k != "id"}
+        except OverflowError:  # a square or a sum past the largest float
+            total = math.inf
+        # A part past the largest float makes the total inf or nan (a zero
+        # lambda gives 0 * inf = nan), so the total checks every part.
+        if not math.isfinite(total):
+            raise LossError(f"{args.file}: clip #{i} ({clip_id}): its losses overflow a float")
+        rows.append(
+            {
+                "id": clip_id,
+                "detection": parts.detection,
+                "classification": parts.classification,
+                "time": parts.time,
+                "segmentation": parts.segmentation,
+                "total": total,
+            }
+        )
+    try:
+        mean = {k: math.fsum(row[k] for row in rows) / len(rows) for k in rows[0] if k != "id"}
+    except OverflowError:
+        raise LossError(f"{args.file}: the mean losses overflow a float") from None
     doc = {"format": "kickcast-loss-report", "version": VERSION, "clips": rows, "mean": mean}
     _emit(dump_json(doc), args.out)
     return 0
@@ -166,6 +202,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         per_clip=args.per_clip,
     )
     cfg = BenchConfig(anticipation_s=args.ta)
+    _bound_windows("--ta", args.ta, cfg.anticipation_ms)
     games = load_corpus(args.annotations)
     train = [g for g in games if g.split == "train"]
     stats = class_stats(train) if spec.kind == "prior" and train else None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .jsonio import brief, exact, number
 
@@ -24,6 +25,14 @@ MAX_TOLERANCES = 256
 #: length, and it keeps every clip id's ``{start:07d}`` at 7 digits, so that
 #: clip ids sort in time order.
 MAX_HALF_MS = 7_200_000
+#: Most windows ``prepare``, ``baseline`` or ``targets`` may tile in one half,
+#: counted for a half of :data:`MAX_HALF_MS` at the command's stride (T_a for
+#: evaluation windows, T_c / 10 for training ones) before any game is read.
+#: It is five times the paper's densest tiling, 5 s training contexts at a
+#: 500 ms stride (14,400 windows), and admits any T_a of at least 0.1 s and
+#: any T_c of at least 1 s.  Tiling, target and scoring work and every output
+#: grow with it; a 1 ms stride would tile 7.2M windows.
+MAX_WINDOWS_PER_HALF = 72_000
 
 
 def default_query_count(anticipation_s: float) -> int:
@@ -92,10 +101,14 @@ class BenchConfig:
         # count of sample instants in [0, context_s); epsilon guards float noise
         return math.ceil(self.context_s * self.fps - 1e-9)
 
-    @property
+    # Read once per clip by tiling and target assignment: each is computed on
+    # first use and then kept beside the fields.  Not a field, so config
+    # documents keep their keys; ``dataclasses.replace`` builds a new instance,
+    # so it recomputes them.
+    @cached_property
     def context_ms(self) -> int:
         return round(self.context_s * 1000)
 
-    @property
+    @cached_property
     def anticipation_ms(self) -> int:
         return round(self.anticipation_s * 1000)

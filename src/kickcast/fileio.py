@@ -47,7 +47,7 @@ from .config import BenchConfig
 from .jsonio import FileFormatError, brief, exact, number, output, read_json
 from .losses import SlotOutput
 from .metrics import EvalReport, Prediction
-from .targets import BLANK, HEADS, UNCONSTRAINED, Assignment, HeadVariant, SlotTarget
+from .targets import BLANK, HEADS, ONE_HOT, UNCONSTRAINED, Assignment, HeadVariant, SlotTarget
 from .windowing import EvalClip, GtAction, SegGrid
 
 FORMAT_EVAL_CLIPS = "kickcast-eval-clips"
@@ -533,11 +533,21 @@ _TARGET_CLIP = _template(("clip_id", "slots", "truncated"), 2)
 _SLOT = _template(("actionness", "class_index", "class_multihot", "gt_index", "time"), 4)
 
 
+#: The text of a slot's ``class_multihot`` when it is None, as in every head
+#: but q-bce, or the multi-hot vector of a class (:data:`~kickcast.targets.ONE_HOT`),
+#: which every paired q-bce slot of that class shares: each encoded once.  A
+#: vector is found by identity, like a targets file's shared slots: an equal
+#: tuple built elsewhere, or a list, is encoded as it comes.
+_MULTIHOT_TEXT = {id(hot): (hot, _encode(hot, 5)) for hot in (None, *ONE_HOT)}
+
+
 def _slot_text(slot: SlotTarget) -> str:
+    hot = slot.class_multihot
+    hit = _MULTIHOT_TEXT.get(id(hot))
     return _SLOT % (
         _encode(slot.actionness, 5),
         _encode(slot.class_index, 5),
-        _encode(slot.class_multihot or None, 5),
+        hit[1] if hit else _encode(hot or None, 5),
         _encode(slot.gt_index, 5),
         _encode(slot.time, 5),
     )

@@ -53,6 +53,8 @@ class HeadVariant(enum.Enum):
     Q_HUNG_CLASS = "q-hung-class"
     ANCHORS = "anchors"
 
+    __hash__ = object.__hash__  # as for ActionClass: singletons, looked up per clip
+
 
 class Pairing(enum.Enum):
     """How slots are tied to ground-truth actions."""
@@ -97,6 +99,8 @@ class HeadSpec:
     ``unpaired`` is the target of a slot left without an action (for ``eos``
     heads, the end-of-sequence slot).  It is built once per head and shared
     by every clip: :class:`BenchConfig` pins the class count.
+    ``needs_outputs``, set with it, is true when the pairing depends on the
+    model's current outputs, so that targets cannot be precomputed.
     """
 
     pairing: Pairing
@@ -104,6 +108,7 @@ class HeadSpec:
     eos: bool = False  # only the first unpaired slot is supervised; it ends decoding
     multihot: bool = False  # independent sigmoids instead of a softmax
     unpaired: SlotTarget = field(init=False, repr=False, compare=False)
+    needs_outputs: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Sequential pairing fills slots 0..n-1, which puts the EoS slot at n.
@@ -115,11 +120,8 @@ class HeadSpec:
         elif self.multihot:
             unpaired = SlotTarget(gt_index=None, actionness=0.0, class_multihot=(0,) * NUM_CLASSES)
         object.__setattr__(self, "unpaired", unpaired)
-
-    @property
-    def needs_outputs(self) -> bool:
-        """Pairing depends on the model's current outputs, so cannot be precomputed."""
-        return self.pairing in (Pairing.HUNGARIAN_TIME, Pairing.HUNGARIAN_CLASS)
+        live = self.pairing in (Pairing.HUNGARIAN_TIME, Pairing.HUNGARIAN_CLASS)
+        object.__setattr__(self, "needs_outputs", live)
 
 
 HEADS: dict[HeadVariant, HeadSpec] = {
@@ -333,7 +335,10 @@ def assign_for_variant(
     multihot = spec.multihot
     for i, k in pairs:
         action = gt[k]
-        c = _class_idx(action)
+        try:
+            c = CLASS_INDEX[action.label]
+        except KeyError:
+            c = _class_idx(action)  # raises the TargetError
         # (gt_index, actionness, class_index, class_multihot, time), built
         # positionally: a NamedTuple takes keywords at about twice the cost.
         slots[i] = SlotTarget(
@@ -346,4 +351,4 @@ def assign_for_variant(
     if spec.eos:
         # Slot len(pairs) is the EoS slot (see HeadSpec); none after it is supervised.
         slots[len(pairs) + 1 :] = [UNCONSTRAINED] * (q - len(pairs) - 1)
-    return Assignment(variant, tuple(slots), truncated=len(pairs) < len(gt))
+    return Assignment(variant, tuple(slots), len(pairs) < len(gt))

@@ -137,6 +137,11 @@ def make_eval_clips(game: GameAnnotations, cfg: BenchConfig) -> list[EvalClip]:
     return clips
 
 
+def train_stride_ms(cfg: BenchConfig) -> int:
+    """Stride of the training windows: a tenth of the context (90% overlap), at least 1 ms."""
+    return max(1, round(cfg.context_ms / 10))
+
+
 def make_train_clips(game: GameAnnotations, cfg: BenchConfig) -> list[TrainClip]:
     """Slide a ``context_s`` window with 90% overlap (stride = context_s / 10).
 
@@ -146,7 +151,11 @@ def make_train_clips(game: GameAnnotations, cfg: BenchConfig) -> list[TrainClip]
     """
     tc_ms = cfg.context_ms
     ta_ms = cfg.anticipation_ms
-    stride = max(1, round(tc_ms / 10))
+    stride = train_stride_ms(cfg)
+    game_id = game.game_id
+    # Neither record type checks its fields, so each is built by tuple.__new__:
+    # the NamedTuple constructor would add a Python call per record.
+    new = tuple.__new__
     clips: list[TrainClip] = []
     for half in (1, 2):
         actions = game.half_actions(half)
@@ -154,14 +163,22 @@ def make_train_clips(game: GameAnnotations, cfg: BenchConfig) -> list[TrainClip]
         if duration is None or duration < tc_ms:
             continue
         times = [a.time_ms for a in actions]
+        labels = [a.label for a in actions]
         for start in range(0, duration - tc_ms + 1, stride):
             ctx_end = start + tc_ms
             lo = bisect_left(times, start)
             mid = bisect_left(times, ctx_end, lo)
             hi = bisect_left(times, ctx_end + ta_ms, mid)
-            context = tuple(GtAction(a.label, a.time_ms - start) for a in actions[lo:mid])
-            future = tuple(GtAction(a.label, a.time_ms - ctx_end) for a in actions[mid:hi])
-            clips.append(TrainClip(game.game_id, half, start, ctx_end, context, future))
+            context = future = ()
+            if lo < mid:
+                context = tuple(
+                    [new(GtAction, (labels[j], times[j] - start)) for j in range(lo, mid)]
+                )
+            if mid < hi:
+                future = tuple(
+                    [new(GtAction, (labels[j], times[j] - ctx_end)) for j in range(mid, hi)]
+                )
+            clips.append(new(TrainClip, (game_id, half, start, ctx_end, context, future)))
     return clips
 
 

@@ -308,6 +308,18 @@ def _counts(**by_name: int) -> dict[ActionClass, int]:
 
 
 class TestClassStats:
+    def test_class_order_is_by_value_whatever_the_count_order(self):
+        # Members hash by identity, so a set of them has no fixed order from
+        # run to run; the set stats_from_counts builds is sorted by value.
+        assert hash(ActionClass.PASS) == object.__hash__(ActionClass.PASS)
+        classes = list(RETAINED_CLASSES)
+        by_value = sorted(classes, key=lambda c: c.value)
+        for order in (classes, classes[::-1], classes[3:] + classes[:3]):
+            counts = {c: 1 + k for k, c in enumerate(order)}
+            stats = stats_from_counts({"train": counts, "test": dict(reversed(counts.items()))})
+            assert list(stats.weights) == by_value
+            assert list(stats.counts["train"]) == list(stats.counts["test"]) == by_value
+
     def test_equal_counts_give_unit_weights(self):
         stats = stats_from_counts({"train": _counts(Pass=10, Shot=10)})
         assert stats.weights[ActionClass.PASS] == Fraction(1)

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -19,12 +21,13 @@ from kickcast.config import (
     MAX_PREDICTIONS_PER_CLIP,
     MAX_QUERIES,
     MAX_TOLERANCES,
+    MAX_WINDOWS_PER_HALF,
     NUM_CLASSES,
     BenchConfig,
 )
 from kickcast.fileio import format_delta, read_eval_clips, read_predictions
 
-from conftest import FIXTURE_DIR, loss_check_doc
+from conftest import FIXTURE_DIR, REPO_ROOT, loss_check_doc
 
 
 def run(argv, capsys):
@@ -807,6 +810,40 @@ class TestBadInput:
         assert err == f"kickcast: error: {bad}: clip #0 (demo): {message}\n"
 
     @pytest.mark.parametrize(
+        "time_raw, weight, clips, message",
+        [
+            (1e308, 1.0, 1, "clip #0 (demo): its losses overflow a float"),  # its square
+            (-1.0, 1e308, 1, "clip #0 (demo): its losses overflow a float"),  # weighted CE
+            (1.2e154, 1.0, 1, None),  # a square of 1.44e308: finite, and reported
+            (1.2e154, 1.0, 2, "the mean losses overflow a float"),  # their sum is not
+        ],
+        ids=["time-square", "class-weight", "finite", "mean"],
+    )
+    def test_losses_past_the_largest_float(
+        self, tmp_path, capsys, time_raw, weight, clips, message
+    ):
+        doc = loss_check_doc()
+        doc["config"]["lambda_time"] = 1.0
+        doc["weights"] = [weight] * NUM_CLASSES
+        clip = doc["clips"][0]
+        clip["slots"] = [
+            {"gt_index": 0, "actionness": 1.0, "class_index": 2, "class_multihot": None, "time": 0.5},
+            *clip["slots"][1:],
+        ]
+        clip["outputs"] = [{**clip["outputs"][0], "time_raw": time_raw}, *clip["outputs"][1:]]
+        doc["clips"] = [{**clip, "id": "demo" if k == 0 else f"demo{k}"} for k in range(clips)]
+        path = tmp_path / "check.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["loss-check", str(path)], capsys)
+        if message is None:
+            assert code == 0 and err == ""
+            assert json.loads(out)["clips"][0]["time"] > 1e308
+        else:
+            self.assert_one_error_line(code, err)
+            assert out == ""
+            assert err == f"kickcast: error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv, key, value, message",
         [
             (
@@ -1140,6 +1177,54 @@ class TestBadInput:
             assert err == f"kickcast: error: {path}: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prepare", "--ta", "0.001"],
+            ["prepare", "--ta", "0.099"],  # a 99 ms stride: 72,728 windows
+            ["baseline", "--kind", "oracle", "--ta", "0.001"],
+            ["targets", "--variant", "q-act", "--tc", "0.001"],
+            ["targets", "--variant", "q-bce", "--tc", "0.949"],  # a 95 ms stride
+        ],
+    )
+    def test_windows_per_half_bound(self, tmp_path, capsys, monkeypatch, argv):
+        # Checked on the flags alone: no file is read and no half is tiled.
+        def stop(*args):
+            raise RuntimeError("work reached")
+
+        for name in ("load_corpus", "make_eval_clips", "make_train_clips"):
+            monkeypatch.setattr(cli, name, stop)
+        out = tmp_path / "out.json"
+        code, _, err = run([argv[0], str(FIXTURE_DIR), *argv[1:], "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        flag, seconds = argv[-2:]
+        assert err.startswith(f"kickcast: error: {flag} {float(seconds)!r} tiles ")
+        assert err.endswith(f"at most {MAX_WINDOWS_PER_HALF} windows per half are allowed\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The paper's settings: T_a of 5 and 10 s, T_c of 5 s.
+            ["prepare", "--ta", "5"],
+            ["prepare", "--ta", "10"],
+            ["baseline", "--kind", "prior", "--ta", "10"],
+            ["targets", "--variant", "q-act", "--tc", "5", "--ta", "10"],
+            # The finest strides the limit admits: exactly its windows per half.
+            ["prepare", "--ta", "0.1"],
+            ["targets", "--variant", "anchors", "--tc", "0.999"],
+        ],
+    )
+    def test_windows_per_half_bound_admits(self, tmp_path, monkeypatch, argv):
+        def stop(game, cfg):
+            raise RuntimeError(f"tiling reached for {game.game_id}")
+
+        monkeypatch.setattr(cli, "make_eval_clips", stop)
+        monkeypatch.setattr(cli, "make_train_clips", stop)
+        out = tmp_path / "out.json"
+        with pytest.raises(RuntimeError, match="^tiling reached for "):
+            main([argv[0], str(FIXTURE_DIR), *argv[1:], "--out", str(out)])
+
     def test_directory_named_like_annotation_file(self, tmp_path, capsys):
         ann = tmp_path / "ann"
         shutil.copytree(FIXTURE_DIR, ann)
@@ -1296,6 +1381,47 @@ class TestBadInput:
         bad.write_text(json.dumps(doc))
         code, out, err = run(["loss-check", str(bad)], capsys)
         self.assert_brief_error(code, out, err, bad, match)
+
+
+#: Writes every output of the commands below into the directory named by argv[1].
+_HASH_SEED_SCRIPT = """
+import sys
+from kickcast.cli import main
+
+ann, out = sys.argv[1], sys.argv[2]
+for argv in (
+    ["prepare", ann, "--out", out + "/clips.json"],
+    ["baseline", ann, "--kind", "prior", "--out", out + "/prior.json"],
+    ["targets", ann, "--variant", "q-bce", "--out", out + "/targets.json"],
+    ["evaluate", "--gt", out + "/clips.json", "--pred", out + "/prior.json",
+     "--out", out + "/report.json"],
+    ["evaluate", "--gt", out + "/clips.json", "--pred", out + "/prior.json",
+     "--format", "csv", "--out", out + "/report.csv"],
+):
+    if main(argv):
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Enum members hash by identity and strings by a per-process seed, so a
+    # set or a hash-ordered walk would change the bytes between processes.
+    outputs = {}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    for seed in ("1", "2024"):
+        out = tmp_path / seed
+        out.mkdir()
+        env["PYTHONHASHSEED"] = seed
+        argv = [sys.executable, "-c", _HASH_SEED_SCRIPT, str(FIXTURE_DIR), str(out)]
+        subprocess.run(argv, env=env, check=True, timeout=120)
+        outputs[seed] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert sorted(outputs["1"]) == [
+        "clips.json", "prior.json", "report.csv", "report.json", "targets.json"
+    ]
+    assert outputs["1"] == outputs["2024"]
 
 
 class TestParser:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 import json
@@ -405,6 +406,19 @@ class TestConfigCodec:
         ):
             assert config_from_doc(config_to_doc(cfg)) == cfg
 
+    def test_millisecond_spans_follow_replace(self):
+        # anticipation_ms and context_ms are kept once computed; replace
+        # builds a new config, whose spans follow its own seconds.
+        cfg = BenchConfig(context_s=3.333, anticipation_s=5.0)
+        assert (cfg.context_ms, cfg.anticipation_ms) == (3333, 5000)
+        other = dataclasses.replace(cfg, anticipation_s=10.0, context_s=0.25)
+        assert (other.context_ms, other.anticipation_ms) == (250, 10000)
+        assert (cfg.context_ms, cfg.anticipation_ms) == (3333, 5000)
+        assert dataclasses.replace(other) == other
+        # Not fields: a config document keeps its keys.
+        assert config_to_doc(other).keys() == config_to_doc(BenchConfig()).keys()
+        assert not {"anticipation_ms", "context_ms"} & config_to_doc(other).keys()
+
     def test_doc_is_flat_and_json_safe(self):
         doc = config_to_doc(CFG)
         json.dumps(doc)
@@ -685,6 +699,31 @@ class TestTargetsFile:
         values = [json.loads(dump_json(doc))["clips"][0]["slots"][i]["actionness"] for i in range(5)]
         assert [type(v) for v in values] == [int, int, float, float, int]
 
+    @pytest.mark.parametrize(
+        "hot",
+        [
+            ONE_HOT[3][:1] + ONE_HOT[3][1:],  # equal to ONE_HOT[3], another tuple
+            list(ONE_HOT[3]),
+            tuple(bool(v) for v in ONE_HOT[3]),  # equal too, but written as booleans
+            (1, 0, 0, 1, 0, 0, 0, 0, 0, 0),  # not one-hot
+            (0,) * 10,
+        ],
+    )
+    def test_multihot_text_is_shared_only_by_identity(self, hot):
+        # The text of each ONE_HOT vector is encoded once and found by
+        # identity: any other vector, equal or not, is encoded as it comes.
+        assert hot is not ONE_HOT[3]
+        slots = (
+            SlotTarget(0, 1.0, None, ONE_HOT[3], 0.25),
+            SlotTarget(1, 1.0, None, hot, 0.5),
+            HEADS[HeadVariant.Q_BCE].unpaired,
+        )
+        pairs = [("c", Assignment(HeadVariant.Q_BCE, slots))]
+        text = dump_json(targets_to_doc(pairs, CFG, HeadVariant.Q_BCE))
+        assert text == oracle_dump(plain_targets_doc(pairs, CFG, HeadVariant.Q_BCE))
+        written_hot = json.loads(text)["clips"][0]["slots"][1]["class_multihot"]
+        assert [type(v) for v in written_hot] == [type(v) for v in hot]
+
 
     def test_non_finite_slot_fails_cleanly(self, tmp_path):
         # The good records before the bad one overflow the write buffer, so the
@@ -742,7 +781,13 @@ SLOTS = st.one_of(
         gt_index=st.one_of(st.none(), st.integers(0, 20)),
         actionness=SLOT_NUMBERS,
         class_index=st.one_of(st.none(), st.integers(0, 10)),
-        class_multihot=st.one_of(st.none(), st.just(()), st.sampled_from(ONE_HOT)),
+        class_multihot=st.one_of(
+            st.none(),
+            st.just(()),
+            st.sampled_from(ONE_HOT),
+            st.sampled_from(ONE_HOT).map(list),  # equal values, other objects
+            st.lists(st.sampled_from([0, 1, False, True]), max_size=10).map(tuple),
+        ),
         time=SLOT_NUMBERS,
     ),
 )

@@ -153,6 +153,10 @@ def argv_for(kind, bad, root, variant):
 _FRAME = ("clips", 0, "segmentation", "frame_dists", 0)
 _LOSS_PATHS = list(node_paths(segmented_loss_check_doc()))
 _OVERFLOW = [(_LOSS_PATHS.index((*_FRAME, i)), "replace", 1e308) for i in (0, 1)]
+# The output time that made the squared time error overflow with a traceback
+# before loss-check checked its losses for overflow.
+_TIME_RAW = ("clips", 0, "outputs", 0, "time_raw")
+_TIME_OVERFLOW = [(_LOSS_PATHS.index(_TIME_RAW), "replace", 1e308)]
 
 
 @settings(
@@ -162,6 +166,7 @@ _OVERFLOW = [(_LOSS_PATHS.index((*_FRAME, i)), "replace", 1e308) for i in (0, 1)
 )
 @given(case=CASES)
 @example(case=("loss-check", _OVERFLOW, 0))
+@example(case=("loss-check", _TIME_OVERFLOW, 0))
 def test_mutated_document(inputs, capsys, case):
     kind, mutations, variant = case
     doc = copy.deepcopy(inputs[kind])

@@ -404,6 +404,19 @@ class TestHeadTable:
         assert all(0 <= c < width for c in indices)
         assert hot_widths <= {width}
 
+    def test_needs_outputs_exactly_for_hungarian_pairings(self):
+        live = {Pairing.HUNGARIAN_TIME, Pairing.HUNGARIAN_CLASS}
+        for pairing in Pairing:
+            assert HeadSpec(pairing).needs_outputs is (pairing in live)
+        assert {v for v, spec in HEADS.items() if spec.needs_outputs} == {
+            HeadVariant.Q_HUNG_TIME,
+            HeadVariant.Q_HUNG_CLASS,
+        }
+        # Set with the spec, like unpaired: not an argument, not in repr or ==.
+        assert "needs_outputs" not in repr(HEADS[HeadVariant.Q_HUNG_TIME])
+        with pytest.raises(TypeError):
+            HeadSpec(Pairing.SEQUENTIAL, needs_outputs=True)
+
     @pytest.mark.parametrize(
         "pairing", [p for p in Pairing if p is not Pairing.SEQUENTIAL], ids=lambda p: p.name
     )
