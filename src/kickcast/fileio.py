@@ -40,7 +40,7 @@ from dataclasses import asdict, fields
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .annotations import parse_label
 from .config import BenchConfig
@@ -77,181 +77,84 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 }
 
 
-@functools.lru_cache(maxsize=None)  # one entry per nesting depth
-def _breaks(depth: int) -> tuple[str, str]:
-    """(newline + indent, comma + newline + indent) at ``depth``."""
-    newline = "\n" + "  " * depth
-    return newline, "," + newline
-
-
-#: No item yet, in :func:`_encode_list`'s run tracking (``None`` is an item).
-_NOTHING = object()
-
-
-class _Records:
-    """A record list built as it is written: ``build(item)`` of each item, on every pass.
-
-    ``build`` returns the record's text, laid out for a record of a writer's
-    document (depth 2: document, record list, record); :func:`_iter_json`
-    writes it as it is.
-    """
-
-    __slots__ = ("build", "items")
-
-    def __init__(self, build: Callable[[Any], str], items: list) -> None:
-        self.build, self.items = build, items
-
-    def __iter__(self) -> Iterator[str]:
-        return map(self.build, self.items)
-
-
-def _encode(value: Any, depth: int) -> str:
-    kind = type(value)
-    scalar = _SCALARS.get(kind)
+def _encode(value: Any) -> str:
+    """A record field's text: through :data:`_SCALARS`, or the stdlib for other types."""
+    scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
-    if kind is dict:
-        return _encode_dict(value, depth)
-    if kind is list or kind is tuple:
-        return _encode_list(value, depth)
-    # Subclasses of built-in types, in the order json's encoder tests them.
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _encode_float(value)
-    if isinstance(value, (list, tuple)):
-        return _encode_list(value, depth)
-    if isinstance(value, dict):
-        return _encode_dict(value, depth)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def _encode_list(items: list | tuple, depth: int) -> str:
-    if not items:
-        return "[]"
-    close = _breaks(depth)[0]
-    newline, sep = _breaks(depth + 1)
-    kinds = set(map(type, items))
-    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    if scalar is not None:
-        body = sep.join(map(scalar, items))
-    else:
-        # A run of one object is encoded once; a comprehension keeps lists
-        # without runs as fast as a plain one.
-        prev = text = _NOTHING
-        texts = [
-            text if item is prev else (text := _encode(prev := item, depth + 1))
-            for item in items
-        ]
-        body = sep.join(texts)
-        del texts  # free the item texts before the f-string below copies body
-    return f"[{newline}{body}{close}]"
-
-
-@functools.lru_cache(maxsize=1024)  # a document has few key sets; exceptions are not cached
-def _layout(keys: tuple, depth: int) -> tuple[tuple[tuple[Any, str], ...], str]:
-    """((key, text before its value), ...) in sorted key order, and the closing text.
-
-    ``keys`` are a dict's keys in insertion order; only ``str`` keys are allowed.
-    """
-    for key in keys:
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-    newline, sep = _breaks(depth + 1)
-    heads = tuple(
-        (key, f"{sep if i else newline}{_encode_str(key)}: ") for i, key in enumerate(sorted(keys))
-    )
-    return heads, _breaks(depth)[0] + "}"
+    return json.dumps(value, allow_nan=False)
 
 
 def _template(keys: tuple, depth: int) -> str:
     """The text of a dict with ``keys`` at ``depth``, with a ``%s`` for each value.
 
-    The ``%s`` follow sorted key order, so the values are filled in, already
-    encoded at ``depth + 1``, in that order.  A ``%`` of the layout is escaped;
-    values are never part of the template, so a ``%`` in a value is just data.
+    Values, encoded at ``depth + 1``, fill it in sorted key order; they are not
+    part of the template, so a ``%`` in a value is just data.
     """
-    heads, close = _layout(keys, depth)
-    body = "".join(head.replace("%", "%%") + "%s" for _, head in heads)
-    return "{" + body + close.replace("%", "%%")
+    newline = "\n" + "  " * (depth + 1)
+    heads = [newline + _encode_str(key).replace("%", "%%") + ": %s" for key in sorted(keys)]
+    return "{" + ",".join(heads) + "\n" + "  " * depth + "}"
 
 
 def _join(texts: list[str], depth: int) -> str:
     """The text of a list at ``depth`` whose items, at ``depth + 1``, have ``texts``."""
     if not texts:
         return "[]"
-    newline, sep = _breaks(depth + 1)
-    return f"[{newline}{sep.join(texts)}{_breaks(depth)[0]}]"
+    close = "\n" + "  " * depth
+    return "[" + close + "  " + ("," + close + "  ").join(texts) + close + "]"
 
 
-def _encode_dict(obj: dict, depth: int) -> str:
-    if not obj:
-        return "{}"
-    heads, close = _layout(tuple(obj), depth)
-    parts = ["{"]
-    for key, head in heads:
-        value = obj[key]
-        scalar = _SCALARS.get(type(value))
-        parts.append(head)
-        parts.append(scalar(value) if scalar is not None else _encode(value, depth + 1))
-    parts.append(close)
-    return "".join(parts)
+class _Records(NamedTuple):
+    """A writer's record list: each record's text is ``build(item)``, built as it is written.
 
-
-def _item_texts(items: Iterable, depth: int) -> Iterator[str]:
-    """The text of each item at ``depth``; a run of one object is encoded once."""
-    prev = text = _NOTHING
-    for item in items:
-        if item is not prev:  # the run rule of _encode_list
-            text = _encode(prev := item, depth)
-        yield text
-
-
-def _iter_json(value: Any, depth: int = 0) -> Iterator[str]:
-    """The text of ``value`` at ``depth`` in chunks: a dict entry by entry, a list item by item.
-
-    Each item of a list is encoded whole.  A :class:`_Records` yields its
-    records' text, so a writer's record list comes one record at a time, each
-    built as it comes.  At depth 0 the text ends with a newline.
+    The text is laid out at depth 2: document, record list, record.
     """
-    if isinstance(value, dict):
-        if not value:
-            yield "{}"
+
+    build: Callable[[Any], str]
+    items: list
+
+
+_dumps = functools.partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _iter_json(doc: Any) -> Iterator[str]:
+    """The canonical text of ``doc`` in chunks, ending with a newline.
+
+    A writer's document, a dict holding a :class:`_Records`, comes a key at a
+    time and its record list a record at a time, each record built as it
+    comes; its other values are the stdlib's text, indented one level.  Any
+    other document is one chunk.
+    """
+    if not (isinstance(doc, dict) and any(type(v) is _Records for v in doc.values())):
+        yield _dumps(doc) + "\n"
+        return
+    lead = "{\n  "
+    for key in sorted(doc):
+        value = doc[key]
+        yield lead + _encode_str(key) + ": "
+        lead = ",\n  "
+        if type(value) is not _Records:
+            # The stdlib escapes every control character in a string, so each
+            # newline of its text is layout.
+            yield _dumps(value).replace("\n", "\n  ")
+        elif not value.items:
+            yield "[]"
         else:
-            heads, close = _layout(tuple(value), depth)
-            yield "{"
-            for key, head in heads:
-                yield head
-                yield from _iter_json(value[key], depth + 1)
-            yield close
-    elif isinstance(value, (list, tuple, _Records)):
-        texts = value if type(value) is _Records else _item_texts(value, depth + 1)
-        newline, sep = _breaks(depth + 1)
-        lead = "[" + newline
-        empty = True
-        for text in texts:
-            yield lead + text
-            lead, empty = sep, False
-        yield "[]" if empty else _breaks(depth)[0] + "]"
-    else:
-        yield _encode(value, depth)
-    if not depth:
-        yield "\n"
+            sep = "[\n    "
+            for text in map(value.build, value.items):
+                yield sep + text
+                sep = ",\n    "
+            yield "\n  ]"
+    yield "\n}\n"
 
 
 def dump_json(doc: Any) -> str:
     """Canonical JSON serialization (stable bytes for stable content).
 
-    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n"`` for documents with string keys, which would run
-    CPython's pure-Python encoder (any ``indent`` turns its C encoder off).  A
-    run of one object is encoded once, and the sorted keys of a dict and the
-    text before each value are laid out once per key set and depth.  A
-    writer's records are not dicts: each is encoded straight to text through a
-    template laid out once per record shape (:func:`_template`), record by
-    record as it is written (see :func:`_iter_json`).
+    The bytes of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    + "\\n"``, made by that call unless ``doc`` is a writer's document.  Then
+    each record is encoded straight to text through a template laid out once
+    per record shape (:func:`_template`), as it is written (:func:`_iter_json`).
     """
     return "".join(_iter_json(doc))
 
@@ -394,19 +297,19 @@ _GT_ACTION = _template(("label", "offset_ms"), 4)  # in a clip's gt_actions list
 
 def _eval_clip_text(clip: EvalClip) -> str:
     actions = [
-        _GT_ACTION % (_encode(a.label.value, 5), _encode(a.offset_ms, 5))
+        _GT_ACTION % (_encode(a.label.value), _encode(a.offset_ms))
         for a in clip.gt_actions
     ]
     return _EVAL_CLIP % (
-        _encode(clip.anticipation_end_ms, 3),
-        _encode(clip.anticipation_start_ms, 3),
-        _encode(clip.clip_id, 3),
-        _encode(clip.context_end_ms, 3),
-        _encode(clip.context_start_ms, 3),
-        _encode(clip.game_id, 3),
+        _encode(clip.anticipation_end_ms),
+        _encode(clip.anticipation_start_ms),
+        _encode(clip.clip_id),
+        _encode(clip.context_end_ms),
+        _encode(clip.context_start_ms),
+        _encode(clip.game_id),
         _join(actions, 3),
-        _encode(clip.half, 3),
-        _encode(clip.partial, 3),
+        _encode(clip.half),
+        _encode(clip.partial),
     )
 
 
@@ -469,10 +372,10 @@ _PREDICTION = _template(("clip_id", "confidence", "label", "time_s"), 2)
 
 def _prediction_text(p: Prediction) -> str:
     return _PREDICTION % (
-        _encode(p.clip_id, 3),
-        _encode(p.confidence, 3),
-        _encode(p.label.value, 3),
-        _encode(p.time_s, 3),
+        _encode(p.clip_id),
+        _encode(p.confidence),
+        _encode(p.label.value),
+        _encode(p.time_s),
     )
 
 
@@ -538,18 +441,23 @@ _SLOT = _template(("actionness", "class_index", "class_multihot", "gt_index", "t
 #: which every paired q-bce slot of that class shares: each encoded once.  A
 #: vector is found by identity, like a targets file's shared slots: an equal
 #: tuple built elsewhere, or a list, is encoded as it comes.
-_MULTIHOT_TEXT = {id(hot): (hot, _encode(hot, 5)) for hot in (None, *ONE_HOT)}
+def _multihot_text(hot: tuple | list | None) -> str:
+    """The text of a slot's ``class_multihot``: a list of its values, or null for none."""
+    return _join(list(map(_encode, hot)), 5) if hot else "null"
+
+
+_MULTIHOT_TEXT = {id(hot): (hot, _multihot_text(hot)) for hot in (None, *ONE_HOT)}
 
 
 def _slot_text(slot: SlotTarget) -> str:
     hot = slot.class_multihot
     hit = _MULTIHOT_TEXT.get(id(hot))
     return _SLOT % (
-        _encode(slot.actionness, 5),
-        _encode(slot.class_index, 5),
-        hit[1] if hit else _encode(hot or None, 5),
-        _encode(slot.gt_index, 5),
-        _encode(slot.time, 5),
+        _encode(slot.actionness),
+        _encode(slot.class_index),
+        hit[1] if hit else _multihot_text(hot),
+        _encode(slot.gt_index),
+        _encode(slot.time),
     )
 
 
@@ -579,9 +487,9 @@ def targets_to_doc(
             hit[1] if (hit := shared.get(id(s))) else _slot_text(s) for s in assignment.slots
         ]
         return _TARGET_CLIP % (
-            _encode(clip_id, 3),
+            _encode(clip_id),
             _join(slots, 3),
-            _encode(assignment.truncated, 3),
+            _encode(assignment.truncated),
         )
 
     return {

@@ -14,7 +14,7 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
@@ -277,22 +277,6 @@ class TestCanonicalJson:
         with pytest.raises(TypeError, match=message):
             dump_json({"k": [value]})
 
-    def test_non_string_key_rejected(self):
-        with pytest.raises(TypeError):
-            dump_json({1: "one"})
-
-    def test_non_string_key_rejected_after_an_equal_layout(self):
-        # Layouts are cached by key tuple, and (1,), (True,) and (1.0,) are
-        # equal tuples; a rejected key set is never cached, so it raises each time.
-        for _ in range(2):
-            assert dump_json({"1": "one"}) == oracle_dump({"1": "one"})
-            with pytest.raises(TypeError, match="keys must be str"):
-                dump_json({1: "one"})
-            with pytest.raises(TypeError, match="keys must be str"):
-                dump_json({True: "one"})
-            with pytest.raises(TypeError, match="keys must be str"):
-                dump_json({"a": {1.0: "one"}})
-
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True),
@@ -315,27 +299,6 @@ class TestCanonicalJson:
 
         doc = [node(0), {"wrap": node(1)}, node(0)]
         assert dump_json(doc) == oracle_dump(doc)
-
-    def test_repeated_objects(self):
-        # The encoder reuses the text of a run of one object; the same object
-        # at another depth, or after a different item, must be encoded anew.
-        x = {"a": [1, 2.5], "b": None}
-        y = [x, "s", None]
-        docs = [
-            [x] * 4,
-            [x, y, x, x, y, y, x],
-            {"outer": [[x, x], x, [y, y], x], "inner": [x, x]},
-            [None, x, x, None, None, x],
-            (y, y, [y, y]),
-        ]
-        for doc in docs:
-            assert dump_json(doc) == oracle_dump(doc)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(JSON_DOCS, min_size=1, max_size=3), st.lists(st.integers(0, 2), max_size=8))
-    def test_runs_of_shared_children(self, pool, picks):
-        doc = [pool[i % len(pool)] for i in picks]
-        assert dump_json({"k": [doc, doc]}) == oracle_dump({"k": [doc, doc]})
 
 
 class TestDeltaCodec:
@@ -802,10 +765,15 @@ ASSIGNMENTS = st.tuples(
 
 
 class TestWriterBytes:
-    """Each writer's text is the stdlib encoder's for the same document as plain dicts."""
+    """Each writer's text is the stdlib encoder's for the same document as plain dicts.
+
+    A document with no records is always one of the cases: its record list is
+    written ``[]``, as the stdlib writes an empty list.
+    """
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(EVAL_CLIPS, max_size=6), st.sampled_from([5.0, 10.0]))
+    @example(clips=[], ta=5.0)
     def test_eval_clips(self, clips, ta):
         cfg = BenchConfig(anticipation_s=ta)
         doc = eval_clips_to_doc(clips, cfg)
@@ -815,6 +783,7 @@ class TestWriterBytes:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(PREDICTIONS, max_size=8))
+    @example(predictions=[])
     def test_predictions(self, predictions):
         doc = predictions_to_doc(predictions)
         text = dump_json(doc)
@@ -823,6 +792,7 @@ class TestWriterBytes:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(ASSIGNMENTS, max_size=6), st.sampled_from(list(HeadVariant)))
+    @example(pairs=[], variant=HeadVariant.Q_BCE)
     def test_targets(self, pairs, variant):
         doc = targets_to_doc(pairs, CFG, variant)
         text = dump_json(doc)

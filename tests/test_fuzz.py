@@ -1,23 +1,33 @@
-"""Mutated input documents through the command line: valid output or one bounded error line.
+"""Mutated inputs through the command line: valid output or one bounded error line.
 
-Each case takes a valid annotation, eval-clips, predictions or loss-check
-document, replaces, deletes or adds a few of its nodes, and runs the command
-that reads it.  Whatever the document, the command must exit 0, or exit 2
-with exactly one ``kickcast: error:`` line of bounded length: never a
-traceback.
+Each document case takes a valid annotation, eval-clips, predictions or
+loss-check document, replaces, deletes or adds a few of its nodes, and runs
+the command that reads it.  Each argument case runs a command on valid files
+with generated flag values, numbers at the edge of each bound among them.
+Whatever the input, the command must exit 0, or exit 2 with exactly one
+``kickcast: error:`` line of bounded length: never a traceback.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from datetime import timedelta
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kickcast.cli import main
-from kickcast.config import BenchConfig
+from kickcast.config import (
+    MAX_HALF_MS,
+    MAX_PREDICTIONS_PER_CLIP,
+    MAX_QUERIES,
+    MAX_TOLERANCES,
+    MAX_WINDOWS_PER_HALF,
+    BenchConfig,
+)
+from kickcast.targets import HeadVariant
 
 from conftest import loss_check_doc
 
@@ -175,7 +185,11 @@ def test_mutated_document(inputs, capsys, case):
         mutate(doc, paths[index % len(paths)], op, copy.deepcopy(value))
     bad = inputs["root"] / "bad.json"
     bad.write_text(json.dumps(doc))
-    code = main(argv_for(kind, bad, inputs["root"], variant))
+    assert_clean_exit(main(argv_for(kind, bad, inputs["root"], variant)), capsys)
+
+
+def assert_clean_exit(code, capsys):
+    """Exit 0 with nothing on stderr, or exit 2 with one bounded error line."""
     err = capsys.readouterr().err
     if code == 0:
         assert err == ""
@@ -184,3 +198,140 @@ def test_mutated_document(inputs, capsys, case):
         assert err.startswith("kickcast: error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert len(err.encode()) < MAX_ERROR_BYTES
+
+
+def short_game_doc() -> dict:
+    """A game of two 5 s halves: the densest tiling a flag allows stays small on it."""
+    return {
+        "gameId": "s",
+        "split": "train",
+        "halfDurationsMs": {"1": 5_000, "2": 5_000},
+        "annotations": [
+            {"gameTime": "1 - 00:01.000", "label": "Pass"},
+            {"gameTime": "1 - 00:03.500", "label": "Shot"},
+            {"gameTime": "2 - 00:02", "label": "Drive"},
+        ],
+    }
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory) -> dict:
+    """The short game, its eval clips and oracle predictions, and their directory."""
+    root = tmp_path_factory.mktemp("argv")
+    game = root / "game.json"
+    game.write_text(json.dumps(short_game_doc()))
+    clips, preds = root / "clips.json", root / "preds.json"
+    assert main(["prepare", str(game), "--out", str(clips)]) == 0
+    assert main(["baseline", str(game), "--kind", "oracle", "--out", str(preds)]) == 0
+    return {"game": str(game), "clips": str(clips), "preds": str(preds), "root": root}
+
+
+def ms_seconds(least_ms):
+    """Whole milliseconds of at least ``least_ms``, written in seconds."""
+    return st.integers(least_ms, 10**7).map(lambda ms: repr(ms / 1000))
+
+
+#: The shortest stride that tiles a MAX_HALF_MS half into at most
+#: MAX_WINDOWS_PER_HALF windows: the shortest T_a (100 ms).
+MIN_STRIDE_MS = -(-MAX_HALF_MS // MAX_WINDOWS_PER_HALF)
+#: The shortest T_c whose stride, T_c / 10 rounded to the millisecond, is
+#: MIN_STRIDE_MS (995 ms: 99.5 rounds to 100).
+MIN_TC_MS = min(ms for ms in range(1, 10 * MIN_STRIDE_MS + 1) if round(ms / 10) >= MIN_STRIDE_MS)
+#: Zero, negatives, non-finite numbers and numbers at the edge of a float.
+EDGE_FLOATS = ["0", "-0.0", "-1", "nan", "-inf", "inf", "1e309", "1e308", "5e-324"]
+#: ``--ta`` and ``--tc`` at their edge, 0.5 ms past it (no whole number of
+#: milliseconds), ordinary and huge.  None is shorter than its edge: the
+#: windows bound refuses those before any work starts.
+TA = st.one_of(
+    st.sampled_from(
+        [repr(MIN_STRIDE_MS / 1000), repr((MIN_STRIDE_MS + 0.5) / 1000), "5", "7200", "1e300"]
+        + EDGE_FLOATS
+    ),
+    ms_seconds(MIN_STRIDE_MS),
+)
+TC = st.one_of(
+    st.sampled_from(
+        [repr(MIN_TC_MS / 1000), repr((MIN_TC_MS + 0.5) / 1000), "1", "60", "1e300"] + EDGE_FLOATS
+    ),
+    ms_seconds(MIN_TC_MS),
+)
+FLOATS = st.one_of(st.sampled_from(["0.5", "1", "6.25", *EDGE_FLOATS]), st.floats().map(repr))
+QUERIES = st.one_of(
+    st.sampled_from([0, 1, MAX_QUERIES, MAX_QUERIES + 1, -1, 2**70]), st.integers(-2, MAX_QUERIES)
+).map(str)
+PER_CLIP = st.one_of(
+    st.sampled_from([1, MAX_PREDICTIONS_PER_CLIP, MAX_PREDICTIONS_PER_CLIP + 1, 0, -1, 2**70]),
+    st.integers(1, 40),
+).map(str)
+INTS = st.one_of(st.sampled_from([0, 1, -1, 2**64, -(2**70)]), st.integers(-5, 50)).map(str)
+DELTA = st.sampled_from(
+    ["0.001", "0.0009", "0.0015", "1", "1.0", "60", "inf", "Infinity", "1e309", "1_0", "-1"]
+    + ["nan", "x", ""]
+)
+
+
+def distinct_deltas(count):
+    """A ``--deltas`` value of ``count`` distinct tolerances."""
+    return ",".join(map(str, range(1, count + 1)))
+
+
+#: ``--deltas``: a few tolerances of any kind, or MAX_TOLERANCES distinct ones and one more.
+DELTAS = st.one_of(
+    st.lists(DELTA, min_size=1, max_size=3).map(",".join),
+    st.sampled_from([MAX_TOLERANCES, MAX_TOLERANCES + 1]).map(distinct_deltas),
+)
+SPLITS = st.sampled_from(["train", "test", ""])
+#: Each command's flags and their values; a flag is left out or given one value.
+COMMANDS = {
+    "prepare": {"--ta": TA, "--split": SPLITS},
+    "targets": {
+        "--variant": st.sampled_from([v.value for v in HeadVariant]),
+        "--tc": TC,
+        "--ta": TA,
+        "--fps": FLOATS,
+        "--queries": QUERIES,
+        "--split": SPLITS,
+    },
+    "baseline": {
+        "--kind": st.sampled_from(["oracle", "prior", "random"]),
+        "--ta": TA,
+        "--per-clip": PER_CLIP,
+        "--top-k": INTS,
+        "--seed": INTS,
+        "--noise-std": FLOATS,
+        "--drop-prob": FLOATS,
+        "--split": SPLITS,
+    },
+    "evaluate": {"--deltas": DELTAS, "--format": st.sampled_from(["json", "csv", "md"])},
+}
+#: Flags every run of a command gives.
+REQUIRED = {"targets": ("--variant",), "baseline": ("--kind",)}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[command]
+    given_flags = [f for f in flags if f in REQUIRED.get(command, ()) or draw(st.booleans())]
+    # Each value as --flag=value, so that one starting with "-" is a value, not a flag.
+    return command, [f"{flag}={draw(flags[flag])}" for flag in given_flags]
+
+
+@settings(
+    max_examples=500,
+    deadline=timedelta(seconds=2),
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=argvs())
+@example(case=("prepare", [f"--ta={MIN_STRIDE_MS / 1000}"]))
+@example(
+    case=("targets", ["--variant=q-bce", f"--tc={MIN_TC_MS / 1000}", f"--queries={MAX_QUERIES}"])
+)
+@example(case=("baseline", ["--kind=random", f"--per-clip={MAX_PREDICTIONS_PER_CLIP}"]))
+@example(case=("evaluate", [f"--deltas={distinct_deltas(MAX_TOLERANCES)}"]))
+def test_generated_flags(argv_inputs, capsys, case):
+    command, flags = case
+    files = ["--gt", argv_inputs["clips"], "--pred", argv_inputs["preds"]]
+    argv = [command, *(files if command == "evaluate" else [argv_inputs["game"]]), *flags]
+    argv += ["--out", str(argv_inputs["root"] / "out.json")]
+    assert_clean_exit(main(argv), capsys)
