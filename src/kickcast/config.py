@@ -31,7 +31,13 @@ MAX_HALF_MS = 7_200_000
 #: It is five times the paper's densest tiling, 5 s training contexts at a
 #: 500 ms stride (14,400 windows), and admits any T_a of at least 0.1 s and
 #: any T_c of at least 1 s.  Tiling, target and scoring work and every output
-#: grow with it; a 1 ms stride would tile 7.2M windows.
+#: grow with it; a 1 ms stride would tile 7.2M windows.  It is not a hard
+#: maximum: a tiled half can run past :data:`MAX_HALF_MS`, to its last action
+#: plus T_a when its length is inferred, or to its declared length plus 1 ms
+#: when an action sits on that end.  So a half can hold one evaluation window
+#: more (72,001 at T_a = 0.1 s with an action at 2:00:00), and, inferred,
+#: about (T_a - T_c) / stride + 1 training windows more (72,041 at T_c = 1 s,
+#: 72,091 at T_c = 1 s and T_a = 10 s).
 MAX_WINDOWS_PER_HALF = 72_000
 
 

@@ -5,6 +5,11 @@ are written canonically — sorted keys, two-space indent, records in a
 documented sort order, trailing newline — so identical inputs produce
 byte-identical files no matter how the records were generated.
 
+A document is plain dicts and lists, whose text is :func:`dump_json`'s.  The
+eval-clips, predictions and targets writers build no document: each sorts its
+records and writes their texts one at a time into the frame that
+:func:`dump_json` makes of the document's other values (:func:`_write_frame`).
+
 Every record list is read through :func:`_read_records`, its fields with the
 value rules of :mod:`kickcast.jsonio`: a bad record is one FileFormatError naming it.
 
@@ -40,11 +45,11 @@ from dataclasses import asdict, fields
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable
 
 from .annotations import parse_label
 from .config import BenchConfig
-from .jsonio import FileFormatError, brief, exact, number, output, read_json
+from .jsonio import FileFormatError, brief, exact, number, output, read_json, write_text
 from .losses import SlotOutput
 from .metrics import EvalReport, Prediction
 from .targets import BLANK, HEADS, ONE_HOT, UNCONSTRAINED, Assignment, HeadVariant, SlotTarget
@@ -104,68 +109,39 @@ def _join(texts: list[str], depth: int) -> str:
     return "[" + close + "  " + ("," + close + "  ").join(texts) + close + "]"
 
 
-class _Records(NamedTuple):
-    """A writer's record list: each record's text is ``build(item)``, built as it is written.
-
-    The text is laid out at depth 2: document, record list, record.
-    """
-
-    build: Callable[[Any], str]
-    items: list
-
-
-_dumps = functools.partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
-
-
-def _iter_json(doc: Any) -> Iterator[str]:
-    """The canonical text of ``doc`` in chunks, ending with a newline.
-
-    A writer's document, a dict holding a :class:`_Records`, comes a key at a
-    time and its record list a record at a time, each record built as it
-    comes; its other values are the stdlib's text, indented one level.  Any
-    other document is one chunk.
-    """
-    if not (isinstance(doc, dict) and any(type(v) is _Records for v in doc.values())):
-        yield _dumps(doc) + "\n"
-        return
-    lead = "{\n  "
-    for key in sorted(doc):
-        value = doc[key]
-        yield lead + _encode_str(key) + ": "
-        lead = ",\n  "
-        if type(value) is not _Records:
-            # The stdlib escapes every control character in a string, so each
-            # newline of its text is layout.
-            yield _dumps(value).replace("\n", "\n  ")
-        elif not value.items:
-            yield "[]"
-        else:
-            sep = "[\n    "
-            for text in map(value.build, value.items):
-                yield sep + text
-                sep = ",\n    "
-            yield "\n  ]"
-    yield "\n}\n"
-
-
 def dump_json(doc: Any) -> str:
-    """Canonical JSON serialization (stable bytes for stable content).
-
-    The bytes of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    + "\\n"``, made by that call unless ``doc`` is a writer's document.  Then
-    each record is encoded straight to text through a template laid out once
-    per record shape (:func:`_template`), as it is written (:func:`_iter_json`).
-    """
-    return "".join(_iter_json(doc))
+    """Canonical JSON serialization (stable bytes for stable content)."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path: str | Path, doc: Any) -> None:
-    """Write :func:`dump_json`'s text through :func:`~kickcast.jsonio.output`, record by record.
+    """Write :func:`dump_json`'s text through :func:`~kickcast.jsonio.output`.
 
     Nothing of ``path`` changes unless the whole document is written.
     """
+    write_text(path, dump_json(doc))
+
+
+def _write_frame(path: str | Path, head: dict, key: str, texts: Iterable[str]) -> None:
+    """Write :func:`dump_json`'s text of ``head`` plus ``key``, a list whose items have ``texts``.
+
+    Each text is laid out at depth 2 (document, list, item) and written as it
+    comes, so neither the record list nor the file's text is held at once.
+    The frame around the list is ``dump_json``'s text with ``key`` empty: a
+    top-level key is the only one indented by exactly two spaces, and the
+    stdlib escapes every newline in a string, so the cut is unique.
+    """
+    frame = dump_json({**head, key: []})
+    opening = "\n  " + _encode_str(key) + ": ["
+    at = frame.index(opening + "]") + len(opening)
     with output(path) as out:
-        out.writelines(_iter_json(doc))
+        out.write(frame[:at])
+        sep = "\n    "
+        for text in texts:
+            out.write(sep + text)
+            sep = ",\n    "
+        # A list with items closes on a line of its own; an empty one is "[]".
+        out.write(frame[at:] if sep == "\n    " else "\n  " + frame[at:])
 
 
 def _load(path: str | Path, expected_format: str) -> dict:
@@ -313,18 +289,10 @@ def _eval_clip_text(clip: EvalClip) -> str:
     )
 
 
-def eval_clips_to_doc(clips: Iterable[EvalClip], cfg: BenchConfig) -> dict:
-    """The eval-clips document; its clip records are built as they are written."""
-    return {
-        "format": FORMAT_EVAL_CLIPS,
-        "version": VERSION,
-        "config": config_to_doc(cfg),
-        "clips": _Records(_eval_clip_text, sorted(clips, key=attrgetter("sort_key"))),
-    }
-
-
 def write_eval_clips(path: str | Path, clips: Iterable[EvalClip], cfg: BenchConfig) -> None:
-    write_json(path, eval_clips_to_doc(clips, cfg))
+    ordered = sorted(clips, key=attrgetter("sort_key"))
+    head = {"format": FORMAT_EVAL_CLIPS, "version": VERSION, "config": config_to_doc(cfg)}
+    _write_frame(path, head, "clips", map(_eval_clip_text, ordered))
 
 
 def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
@@ -339,7 +307,7 @@ def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
                 parse_label(exact(a["label"], str, "label")),
                 exact(a["offset_ms"], int, "offset_ms"),
             )
-            for a in rec["gt_actions"]
+            for a in exact(rec["gt_actions"], list, "gt_actions")
         ),
     )
     for key, kind in (("clip_id", str), ("context_start_ms", int), ("context_end_ms", int)):
@@ -386,22 +354,14 @@ def _in_clip_order(p: Prediction) -> tuple[str, float, float]:
     return (p.label.value, p.time_s, -p.confidence)
 
 
-def predictions_to_doc(predictions: Iterable[Prediction]) -> dict:
-    """The predictions document; its records are built as they are written."""
+def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> None:
     # The order of the key (clip_id, label, time_s, -confidence), with key
     # tuples for one clip at a time: for the whole file they would take about
     # as much memory as its text.
     by_clip = groupby(sorted(predictions, key=_CLIP_ID), _CLIP_ID)
     ordered = [p for _, clip in by_clip for p in sorted(clip, key=_in_clip_order)]
-    return {
-        "format": FORMAT_PREDICTIONS,
-        "version": VERSION,
-        "predictions": _Records(_prediction_text, ordered),
-    }
-
-
-def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> None:
-    write_json(path, predictions_to_doc(predictions))
+    head = {"format": FORMAT_PREDICTIONS, "version": VERSION}
+    _write_frame(path, head, "predictions", map(_prediction_text, ordered))
 
 
 def _prediction(rec: dict) -> Prediction:
@@ -436,69 +396,43 @@ _TARGET_CLIP = _template(("clip_id", "slots", "truncated"), 2)
 _SLOT = _template(("actionness", "class_index", "class_multihot", "gt_index", "time"), 4)
 
 
-#: The text of a slot's ``class_multihot`` when it is None, as in every head
-#: but q-bce, or the multi-hot vector of a class (:data:`~kickcast.targets.ONE_HOT`),
-#: which every paired q-bce slot of that class shares: each encoded once.  A
-#: vector is found by identity, like a targets file's shared slots: an equal
-#: tuple built elsewhere, or a list, is encoded as it comes.
 def _multihot_text(hot: tuple | list | None) -> str:
     """The text of a slot's ``class_multihot``: a list of its values, or null for none."""
     return _join(list(map(_encode, hot)), 5) if hot else "null"
 
 
-_MULTIHOT_TEXT = {id(hot): (hot, _multihot_text(hot)) for hot in (None, *ONE_HOT)}
-
-
 def _slot_text(slot: SlotTarget) -> str:
     hot = slot.class_multihot
-    hit = _MULTIHOT_TEXT.get(id(hot))
     return _SLOT % (
         _encode(slot.actionness),
         _encode(slot.class_index),
-        hit[1] if hit else _multihot_text(hot),
+        hit[1] if (hit := _SHARED.get(id(hot))) else _multihot_text(hot),
         _encode(slot.gt_index),
         _encode(slot.time),
     )
 
 
-def targets_to_doc(
-    assignments: Iterable[tuple[str, Assignment]],
-    cfg: BenchConfig,
-    variant: HeadVariant,
-) -> dict:
-    """The targets document; its clip records are built as they are written.
+#: Texts of the values that most slots share, each encoded once, at import,
+#: keyed by the value's id: a ``class_multihot`` of None (every head but
+#: q-bce) or of a class (:data:`~kickcast.targets.ONE_HOT`, shared by every
+#: paired q-bce slot of that class), and the unpaired slots (:data:`BLANK`,
+#: :data:`UNCONSTRAINED` and each head's ``unpaired``).  They are found by
+#: identity, not value: ``SlotTarget(actionness=0)`` equals
+#: ``SlotTarget(actionness=0.0)`` but encodes differently, and an equal
+#: multi-hot list or tuple built elsewhere may hold booleans.  Each entry
+#: holds its value next to its text, so the id is never reused.
+_SHARED: dict[int, tuple[Any, str]] = {}
+_SHARED.update((id(hot), (hot, _multihot_text(hot))) for hot in (None, *ONE_HOT))
+_SHARED.update(
+    (id(slot), (slot, _slot_text(slot)))
+    for slot in (BLANK, UNCONSTRAINED, *(head.unpaired for head in HEADS.values()))
+)
 
-    The head's shared unpaired slots (:data:`~kickcast.targets.BLANK`, its
-    ``unpaired`` target and :data:`~kickcast.targets.UNCONSTRAINED`) recur in
-    most clips, so each is encoded once per document.  They are found by
-    identity, not value: ``SlotTarget(actionness=0)`` equals
-    ``SlotTarget(actionness=0.0)`` but encodes differently.  The memo holds
-    each object next to its text, so its id is never reused.  Paired slots
-    never recur; each is encoded as it comes.
-    """
-    shared = {
-        id(slot): (slot, _slot_text(slot))
-        for slot in (BLANK, HEADS[variant].unpaired, UNCONSTRAINED)
-    }
 
-    def record(pair: tuple[str, Assignment]) -> str:
-        clip_id, assignment = pair
-        slots = [
-            hit[1] if (hit := shared.get(id(s))) else _slot_text(s) for s in assignment.slots
-        ]
-        return _TARGET_CLIP % (
-            _encode(clip_id),
-            _join(slots, 3),
-            _encode(assignment.truncated),
-        )
-
-    return {
-        "format": FORMAT_TARGETS,
-        "version": VERSION,
-        "config": config_to_doc(cfg),
-        "variant": variant.value,
-        "clips": _Records(record, sorted(assignments, key=itemgetter(0))),
-    }
+def _target_clip_text(pair: tuple[str, Assignment]) -> str:
+    clip_id, assignment = pair
+    slots = [hit[1] if (hit := _SHARED.get(id(s))) else _slot_text(s) for s in assignment.slots]
+    return _TARGET_CLIP % (_encode(clip_id), _join(slots, 3), _encode(assignment.truncated))
 
 
 def write_targets(
@@ -507,7 +441,14 @@ def write_targets(
     cfg: BenchConfig,
     variant: HeadVariant,
 ) -> None:
-    write_json(path, targets_to_doc(assignments, cfg, variant))
+    ordered = sorted(assignments, key=itemgetter(0))
+    head = {
+        "format": FORMAT_TARGETS,
+        "version": VERSION,
+        "config": config_to_doc(cfg),
+        "variant": variant.value,
+    }
+    _write_frame(path, head, "clips", map(_target_clip_text, ordered))
 
 
 # --- loss-check input -------------------------------------------------------
@@ -532,15 +473,17 @@ def _loss_clip(rec: dict) -> _LossEntry:
     outputs = [
         SlotOutput(
             actionness=number(o["actionness"], "actionness"),
-            class_probs=tuple(number(p, "class_probs") for p in o["class_probs"]),
+            class_probs=tuple(
+                number(p, "class_probs") for p in exact(o["class_probs"], list, "class_probs")
+            ),
             time_raw=number(o["time_raw"], "time_raw"),
         )
-        for o in rec["outputs"]
+        for o in exact(rec["outputs"], list, "outputs")
     ]
     slots = []
-    for s in rec["slots"]:
+    for s in exact(rec["slots"], list, "slots"):
         actionness, hot, time = s["actionness"], s["class_multihot"], s["time"]
-        if hot is not None:
+        if exact(hot, list, "class_multihot", nullable=True) is not None:
             hot = tuple(exact(v, int, "class_multihot") for v in hot)
         slots.append(
             SlotTarget(
@@ -557,12 +500,14 @@ def _loss_clip(rec: dict) -> _LossEntry:
         truncated=exact(rec.get("truncated", False), bool, "truncated"),
     )
     seg = None
-    seg_doc = rec.get("segmentation")
+    seg_doc = exact(rec.get("segmentation"), dict, "segmentation", nullable=True)
     if seg_doc is not None:
         frame_dists = [
-            [number(p, "frame_dists") for p in dist] for dist in seg_doc["frame_dists"]
+            [number(p, "frame_dists") for p in exact(dist, list, "frame_dists")]
+            for dist in exact(seg_doc["frame_dists"], list, "frame_dists")
         ]
-        seg = (frame_dists, SegGrid(tuple(exact(v, int, "labels") for v in seg_doc["labels"])))
+        labels = exact(seg_doc["labels"], list, "labels")
+        seg = (frame_dists, SegGrid(tuple(exact(v, int, "labels") for v in labels)))
     return exact(rec.get("id"), str, "id", nullable=True), outputs, assignment, seg
 
 

@@ -102,11 +102,20 @@ def brief(value: Any) -> str:
     return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
 
 
+#: What :func:`exact` calls each kind in its errors.
+_KINDS = {bool: "a boolean", int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
 def exact(value: Any, kind: type, name: str, nullable: bool = False) -> Any:
-    """``value`` if its JSON type is exactly ``kind`` (or null, if ``nullable``)."""
-    if type(value) is not kind and not (nullable and value is None):
-        what = {bool: "a boolean", int: "an integer", str: "a string"}[kind]
-        raise TypeError(f"{name} must be {what}, got {brief(value)}")
+    """``value`` if its JSON type is ``kind`` (or null, if ``nullable``).
+
+    A scalar's type must be exactly ``kind``, so ``true`` is not an integer; a
+    list or dict subclass is still a JSON array or object.
+    """
+    if type(value) is not kind and not (
+        (nullable and value is None) or (kind in (list, dict) and isinstance(value, kind))
+    ):
+        raise TypeError(f"{name} must be {_KINDS[kind]}, got {brief(value)}")
     return value
 
 

@@ -111,7 +111,13 @@ class ClassScore:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Full scoring output across classes and tolerances."""
+    """Full scoring output across classes and tolerances.
+
+    ``clamped_predictions`` counts the scored predictions whose
+    ``time_clamped`` is set.  Only :func:`decode_predictions` sets it: a
+    predictions file carries no clamp flag, so a report scored from a file,
+    as ``kickcast evaluate`` scores one, always counts 0.
+    """
 
     deltas: tuple[float, ...]
     classes: tuple[ActionClass, ...]

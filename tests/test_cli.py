@@ -682,6 +682,53 @@ class TestBadInput:
         self.assert_one_error_line(code, err)
         assert err.count(f"{bad}: clip #0: ") == 1
 
+    @pytest.mark.parametrize("value", ["empty", "", 5], ids=["empty-container", "string", "int"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "gt_actions",
+            "outputs",
+            "slots",
+            "class_probs",
+            "class_multihot",
+            "segmentation",
+            "frame_dists",
+            "labels",
+        ],
+    )
+    def test_container_field_of_wrong_type(
+        self, tmp_path, capsys, clips_file, oracle_file, field, value
+    ):
+        # An empty container of the other kind must not read as an empty one.
+        what = "an object" if field == "segmentation" else "a list"
+        if value == "empty":
+            value = [] if field == "segmentation" else {}
+        bad = tmp_path / "bad.json"
+        if field == "gt_actions":
+            doc = json.loads(clips_file.read_text())
+            doc["clips"][0]["gt_actions"] = value
+            argv = ["evaluate", "--gt", str(bad), "--pred", str(oracle_file)]
+        else:
+            doc = loss_check_doc()
+            clip = doc["clips"][0]
+            frames = BenchConfig().context_frames
+            clip["segmentation"] = {
+                "frame_dists": [[1.0 / (NUM_CLASSES + 1)] * (NUM_CLASSES + 1)] * frames,
+                "labels": [0] * frames,
+            }
+            if field in ("class_probs", "class_multihot"):
+                records = clip["outputs" if field == "class_probs" else "slots"]
+                records[0] = {**records[0], field: value}
+            elif field in ("frame_dists", "labels"):
+                clip["segmentation"][field] = value
+            else:
+                clip[field] = value
+            argv = ["loss-check", str(bad)]
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"kickcast: error: {bad}: clip #0: {field} must be {what}, got {value!r}\n"
+
     @pytest.mark.parametrize("index", [-1, -10])
     def test_negative_class_index(self, tmp_path, capsys, index):
         doc = loss_check_doc()

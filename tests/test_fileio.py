@@ -10,6 +10,7 @@ import math
 import os
 import random
 import stat
+import tempfile
 import threading
 import tracemalloc
 
@@ -36,10 +37,8 @@ from kickcast.fileio import (
     config_from_doc,
     config_to_doc,
     dump_json,
-    eval_clips_to_doc,
     format_delta,
     parse_delta,
-    predictions_to_doc,
     read_eval_clips,
     read_loss_check,
     read_predictions,
@@ -47,7 +46,6 @@ from kickcast.fileio import (
     render_report_json,
     render_report_md,
     report_to_doc,
-    targets_to_doc,
     write_eval_clips,
     write_json,
     write_predictions,
@@ -97,13 +95,18 @@ def oracle_dump(doc):
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def written(doc):
-    """A writer's document as its file holds it: lists and dicts only.
+def file_text(write, *args):
+    """The text of the file that ``write(path, *args)`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        write(path, *args)
+        with open(path, encoding="utf-8") as f:
+            return f.read()
 
-    The writers encode each record straight to text as they write it, so
-    their documents hold no record dicts.
-    """
-    return json.loads(dump_json(doc))
+
+def file_doc(write, *args):
+    """The document that ``write(path, *args)`` writes, as lists and dicts."""
+    return json.loads(file_text(write, *args))
 
 
 # Each writer's document as plain dicts and lists, written out field by field
@@ -446,7 +449,7 @@ class TestEvalClipsFile:
         assert path.read_bytes() == first
 
     def _doc(self, eval_clips):
-        return written(eval_clips_to_doc(eval_clips[:3], CFG))
+        return file_doc(write_eval_clips, eval_clips[:3], CFG)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -486,7 +489,7 @@ class TestEvalClipsFile:
             read_eval_clips(path)
 
     def test_offset_outside_span_rejected(self, tmp_path, eval_clips):
-        doc = written(eval_clips_to_doc(eval_clips, CFG))
+        doc = file_doc(write_eval_clips, eval_clips, CFG)
         rec = next(r for r in doc["clips"] if r["gt_actions"])
         rec["gt_actions"][0]["offset_ms"] = 999_999
         path = tmp_path / "bad.json"
@@ -516,7 +519,7 @@ class TestPredictionsFile:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_confidence_rejected(self, tmp_path):
-        doc = predictions_to_doc([])
+        doc = file_doc(write_predictions, [])
         doc["predictions"] = [
             {"clip_id": "c", "label": "Pass", "time_s": 1.0, "confidence": 2.0}
         ]
@@ -605,7 +608,7 @@ class TestPredictionsFile:
 
     @pytest.mark.parametrize("label", [7, ["Pass"], {"name": "Pass"}, None])
     def test_non_string_label_rejected(self, tmp_path, label):
-        doc = predictions_to_doc([])
+        doc = file_doc(write_predictions, [])
         doc["predictions"] = [
             {"clip_id": "c", "label": label, "time_s": 1.0, "confidence": 0.5}
         ]
@@ -621,7 +624,7 @@ class TestTargetsFile:
             (c.clip_id, assign_for_variant(HeadVariant.Q_ACT, c.gt_actions, CFG))
             for c in eval_clips[:5]
         ]
-        doc = written(targets_to_doc(pairs, CFG, HeadVariant.Q_ACT))
+        doc = file_doc(write_targets, pairs, CFG, HeadVariant.Q_ACT)
         assert doc["variant"] == "q-act"
         assert [r["clip_id"] for r in doc["clips"]] == sorted(
             r["clip_id"] for r in doc["clips"]
@@ -649,7 +652,7 @@ class TestTargetsFile:
             for c in make_train_clips(game, cfg)[::7]
         ]
         fresh = plain_targets_doc(pairs, cfg, variant)
-        assert dump_json(targets_to_doc(pairs, cfg, variant)) == oracle_dump(fresh)
+        assert file_text(write_targets, pairs, cfg, variant) == oracle_dump(fresh)
 
     def test_equal_slots_of_different_types_keep_their_text(self):
         # SlotTarget(actionness=0) == SlotTarget(actionness=0.0), but JSON
@@ -658,8 +661,9 @@ class TestTargetsFile:
         as_float = SlotTarget(gt_index=None, actionness=0.0)
         assert as_int == as_float
         slots = (as_int, as_int, as_float, as_float, as_int)
-        doc = targets_to_doc([("c", Assignment(HeadVariant.Q_ACT, slots))], CFG, HeadVariant.Q_ACT)
-        values = [json.loads(dump_json(doc))["clips"][0]["slots"][i]["actionness"] for i in range(5)]
+        pairs = [("c", Assignment(HeadVariant.Q_ACT, slots))]
+        doc = file_doc(write_targets, pairs, CFG, HeadVariant.Q_ACT)
+        values = [doc["clips"][0]["slots"][i]["actionness"] for i in range(5)]
         assert [type(v) for v in values] == [int, int, float, float, int]
 
     @pytest.mark.parametrize(
@@ -682,7 +686,7 @@ class TestTargetsFile:
             HEADS[HeadVariant.Q_BCE].unpaired,
         )
         pairs = [("c", Assignment(HeadVariant.Q_BCE, slots))]
-        text = dump_json(targets_to_doc(pairs, CFG, HeadVariant.Q_BCE))
+        text = file_text(write_targets, pairs, CFG, HeadVariant.Q_BCE)
         assert text == oracle_dump(plain_targets_doc(pairs, CFG, HeadVariant.Q_BCE))
         written_hot = json.loads(text)["clips"][0]["slots"][1]["class_multihot"]
         assert [type(v) for v in written_hot] == [type(v) for v in hot]
@@ -765,7 +769,7 @@ ASSIGNMENTS = st.tuples(
 
 
 class TestWriterBytes:
-    """Each writer's text is the stdlib encoder's for the same document as plain dicts.
+    """Each writer's file holds the stdlib encoder's text of the same document as plain dicts.
 
     A document with no records is always one of the cases: its record list is
     written ``[]``, as the stdlib writes an empty list.
@@ -776,28 +780,25 @@ class TestWriterBytes:
     @example(clips=[], ta=5.0)
     def test_eval_clips(self, clips, ta):
         cfg = BenchConfig(anticipation_s=ta)
-        doc = eval_clips_to_doc(clips, cfg)
-        text = dump_json(doc)
+        text = file_text(write_eval_clips, clips, cfg)
         assert text == oracle_dump(plain_eval_clips_doc(clips, cfg))
-        assert dump_json(doc) == text
+        assert file_text(write_eval_clips, clips, cfg) == text
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(PREDICTIONS, max_size=8))
     @example(predictions=[])
     def test_predictions(self, predictions):
-        doc = predictions_to_doc(predictions)
-        text = dump_json(doc)
+        text = file_text(write_predictions, predictions)
         assert text == oracle_dump(plain_predictions_doc(predictions))
-        assert dump_json(doc) == text
+        assert file_text(write_predictions, predictions) == text
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(ASSIGNMENTS, max_size=6), st.sampled_from(list(HeadVariant)))
     @example(pairs=[], variant=HeadVariant.Q_BCE)
     def test_targets(self, pairs, variant):
-        doc = targets_to_doc(pairs, CFG, variant)
-        text = dump_json(doc)
+        text = file_text(write_targets, pairs, CFG, variant)
         assert text == oracle_dump(plain_targets_doc(pairs, CFG, variant))
-        assert dump_json(doc) == text
+        assert file_text(write_targets, pairs, CFG, variant) == text
 
 
 class TestTargetsMemory:
@@ -847,8 +848,8 @@ class TestOutputFile:
     def test_failed_write_leaves_the_old_file(self, tmp_path):
         path = tmp_path / "out.json"
         path.write_bytes(b"old bytes\n")
-        # The first record overflows the write buffer, so the temporary file
-        # holds bytes when the second record fails.
+        # The document is encoded whole before the file is opened; a writer
+        # that fails part way is TestTargetsFile.test_non_finite_slot_fails_cleanly.
         doc = {"records": [{"k": "x" * 600_000}, {"k": math.nan}]}
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_json(path, doc)
@@ -1061,7 +1062,14 @@ def schema_at(root, registry, path):
     return schema, resolver
 
 
-JSON_TYPES = {bool: "boolean", int: "integer", str: "string", type(None): "null"}
+JSON_TYPES = {
+    bool: "boolean",
+    int: "integer",
+    str: "string",
+    list: "array",
+    dict: "object",
+    type(None): "null",
+}
 
 
 def admitted_types(schema):
@@ -1105,7 +1113,7 @@ def full_loss_check_doc(corpus):
     for variant in (HeadVariant.Q_ACT, HeadVariant.Q_EOS, HeadVariant.Q_BCE):
         assignment = assign_for_variant(variant, clip.future_actions, CFG)
         width = C + HEADS[variant].sentinel
-        doc = written(targets_to_doc([(clip.clip_id, assignment)], CFG, variant))
+        doc = file_doc(write_targets, [(clip.clip_id, assignment)], CFG, variant)
         slots = doc["clips"][0]["slots"]
         output = {"actionness": 0.5, "class_probs": [1.0 / width] * width, "time_raw": -1.0}
         records.append(
@@ -1141,8 +1149,8 @@ class TestSchemas:
         tmp_path, monkeypatch,
     ):
         doc, read = {
-            "eval-clips": (written(eval_clips_to_doc(eval_clips, CFG)), read_eval_clips),
-            "predictions": (written(predictions_to_doc(some_predictions)), read_predictions),
+            "eval-clips": (file_doc(write_eval_clips, eval_clips, CFG), read_eval_clips),
+            "predictions": (file_doc(write_predictions, some_predictions), read_predictions),
             "loss-check": (full_loss_check_doc, read_loss_check),
         }[name]
         if name == "predictions":
@@ -1182,7 +1190,7 @@ class TestSchemas:
             want = {JSON_TYPES[kind]} | ({"null"} if nullable else set())
             for prop in props:
                 types = admitted_types(prop)
-                if "array" in types:  # the field is a list of such values
+                if "array" in types - want:  # the field is a list of such values
                     assert types <= {"array", "null"}, field
                     types = admitted_types(prop["items"])
                 assert types == want, (field, types)
@@ -1194,8 +1202,8 @@ class TestSchemas:
         tmp_path,
     ):
         doc, read = {
-            "eval-clips": (written(eval_clips_to_doc(eval_clips, CFG)), read_eval_clips),
-            "predictions": (written(predictions_to_doc(some_predictions)), read_predictions),
+            "eval-clips": (file_doc(write_eval_clips, eval_clips, CFG), read_eval_clips),
+            "predictions": (file_doc(write_predictions, some_predictions), read_predictions),
             "loss-check": (full_loss_check_doc, read_loss_check),
         }[name]
         root = json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
@@ -1236,11 +1244,11 @@ class TestSchemas:
 
     def test_eval_clips_doc_validates(self, schema_registry, eval_clips):
         validator = validator_for("eval-clips", schema_registry)
-        validator.validate(written(eval_clips_to_doc(eval_clips, CFG)))
+        validator.validate(file_doc(write_eval_clips, eval_clips, CFG))
 
     def test_predictions_doc_validates(self, schema_registry, some_predictions):
         validator = validator_for("predictions", schema_registry)
-        validator.validate(written(predictions_to_doc(some_predictions)))
+        validator.validate(file_doc(write_predictions, some_predictions))
 
     def test_targets_doc_validates(self, schema_registry, eval_clips):
         validator = validator_for("targets", schema_registry)
@@ -1249,7 +1257,7 @@ class TestSchemas:
                 (c.clip_id, assign_for_variant(variant, c.gt_actions, CFG))
                 for c in eval_clips[:6]
             ]
-            validator.validate(written(targets_to_doc(pairs, CFG, variant)))
+            validator.validate(file_doc(write_targets, pairs, CFG, variant))
 
     def test_schema_rejects_bad_half(self, schema_registry):
         validator = validator_for("annotations", schema_registry)
@@ -1303,7 +1311,7 @@ class TestSchemas:
 
     def test_schema_rejects_wrong_format_tag(self, schema_registry, eval_clips):
         validator = validator_for("eval-clips", schema_registry)
-        doc = written(eval_clips_to_doc(eval_clips[:1], CFG))
+        doc = file_doc(write_eval_clips, eval_clips[:1], CFG)
         assert validator.is_valid(doc)
         doc["format"] = FORMAT_EVAL_CLIPS + "-not"
         assert not validator.is_valid(doc)

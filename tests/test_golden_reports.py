@@ -27,8 +27,8 @@ from kickcast.fileio import (
     config_to_doc,
     dump_json,
     read_eval_clips,
-    targets_to_doc,
     write_predictions,
+    write_targets,
 )
 from kickcast.losses import SlotOutput
 from kickcast.metrics import decode_predictions
@@ -152,11 +152,12 @@ def _distribution(rng: random.Random, n: int) -> list[float]:
     return [x / total for x in raw]
 
 
-def multi_variant_loss_doc(corpus) -> dict:
+def multi_variant_loss_doc(corpus, tmp_path) -> dict:
     """Two train clips per head variant, with class weights and segmentation.
 
     Slot targets come from ``assign_for_variant`` (so only 0/1 actionness and
-    multi-hot targets); outputs and frame distributions from a seeded RNG.
+    multi-hot targets), as ``write_targets`` writes them into ``tmp_path``;
+    outputs and frame distributions come from a seeded RNG.
     """
     cfg = BenchConfig()
     rng = random.Random(7)
@@ -176,8 +177,9 @@ def multi_variant_loss_doc(corpus) -> dict:
         ]
         assignment = assign_for_variant(variant, clip.future_actions, cfg, outputs)
         grid = segmentation_targets(clip, cfg)
-        doc = json.loads(dump_json(targets_to_doc([(clip.clip_id, assignment)], cfg, variant)))
-        targets = doc["clips"][0]  # the record as a targets file holds it
+        path = tmp_path / "targets.json"
+        write_targets(path, [(clip.clip_id, assignment)], cfg, variant)
+        targets = json.loads(path.read_text())["clips"][0]  # the record as a targets file holds it
         records.append(
             {
                 "id": f"{variant.value}/{clip.clip_id}",
@@ -201,7 +203,7 @@ def multi_variant_loss_doc(corpus) -> dict:
 
 
 def test_multi_variant_loss_check_digest(corpus, tmp_path):
-    doc = multi_variant_loss_doc(corpus)
+    doc = multi_variant_loss_doc(corpus, tmp_path)
     variants = {clip["variant"] for clip in doc["clips"]}
     assert variants == {v.value for v in HeadVariant}
     check = tmp_path / "check.json"

@@ -1,0 +1,31 @@
+"""The oldest Python that ``pyproject.toml`` admits can parse every source file."""
+
+from __future__ import annotations
+
+import ast
+
+from conftest import REPO_ROOT
+
+#: ``requires-python = ">=3.10"`` in ``pyproject.toml``.
+FLOOR = (3, 10)
+
+
+def test_sources_parse_at_the_floor():
+    """Syntax only: ``ast.parse`` with ``feature_version`` rejects grammar newer
+    than the floor that the running parser knows of (``except*``, PEP 695 type
+    parameters), but not a newer standard-library name or a behaviour that
+    changed at run time.
+    """
+    paths = sorted(
+        path
+        for folder in ("src", "tests", "tools", "perfbench")
+        for path in (REPO_ROOT / folder).rglob("*.py")
+    )
+    assert len(paths) > 30
+    failures = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)
+        except SyntaxError as exc:
+            failures.append(f"{path.relative_to(REPO_ROOT)}:{exc.lineno}: {exc.msg}")
+    assert not failures, failures
