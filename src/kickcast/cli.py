@@ -26,7 +26,13 @@ from typing import Sequence
 
 from .annotations import GameAnnotations, class_stats, load_corpus
 from .baselines import BASELINE_KINDS, BaselineSpec, run_baseline
-from .config import MAX_HALF_MS, MAX_TOLERANCES, MAX_WINDOWS_PER_HALF, BenchConfig
+from .config import (
+    MAX_HALF_MS,
+    MAX_TOLERANCES,
+    MAX_WINDOWS_PAST_HALF,
+    MAX_WINDOWS_PER_HALF,
+    BenchConfig,
+)
 from .fileio import (
     RENDERERS,
     VERSION,
@@ -116,7 +122,15 @@ def cmd_targets(args: argparse.Namespace) -> int:
     cfg = BenchConfig(
         context_s=args.tc, anticipation_s=args.ta, fps=args.fps, queries=args.queries
     )
-    _bound_windows("--tc", args.tc, train_stride_ms(cfg))
+    stride_ms = train_stride_ms(cfg)
+    _bound_windows("--tc", args.tc, stride_ms)
+    # A half whose length is inferred is tiled to its last action plus T_a.
+    if -(-cfg.anticipation_ms // stride_ms) > MAX_WINDOWS_PAST_HALF:
+        raise ValueError(
+            f"--ta {args.ta!r} tiles more than {MAX_WINDOWS_PAST_HALF} windows at a "
+            f"{stride_ms} ms stride past the end of a half; at --tc {args.tc!r}, --ta may be "
+            f"at most {MAX_WINDOWS_PAST_HALF * stride_ms / 1000!r} s"
+        )
     games = _split(load_corpus(args.annotations), args.split)
     records = []
     for game in games:

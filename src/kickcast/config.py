@@ -31,14 +31,19 @@ MAX_HALF_MS = 7_200_000
 #: It is five times the paper's densest tiling, 5 s training contexts at a
 #: 500 ms stride (14,400 windows), and admits any T_a of at least 0.1 s and
 #: any T_c of at least 1 s.  Tiling, target and scoring work and every output
-#: grow with it; a 1 ms stride would tile 7.2M windows.  It is not a hard
-#: maximum: a tiled half can run past :data:`MAX_HALF_MS`, to its last action
-#: plus T_a when its length is inferred, or to its declared length plus 1 ms
-#: when an action sits on that end.  So a half can hold one evaluation window
-#: more (72,001 at T_a = 0.1 s with an action at 2:00:00), and, inferred,
-#: about (T_a - T_c) / stride + 1 training windows more (72,041 at T_c = 1 s,
-#: 72,091 at T_c = 1 s and T_a = 10 s).
+#: grow with it; a 1 ms stride would tile 7.2M windows.  A tiled half can run
+#: past :data:`MAX_HALF_MS`: to its last action plus T_a when its length is
+#: inferred, or to its declared length plus 1 ms when an action sits on that
+#: end.  So a half can hold one evaluation window more (72,001 at T_a = 0.1 s
+#: with an action at 2:00:00), and up to :data:`MAX_WINDOWS_PAST_HALF`
+#: training windows more.
 MAX_WINDOWS_PER_HALF = 72_000
+#: Most training windows ``targets`` may tile past a :data:`MAX_HALF_MS` half,
+#: counted as T_a over the stride before any game is read: 1 % of
+#: :data:`MAX_WINDOWS_PER_HALF`, so no half holds more than 72,720.  T_a of
+#: 5 and 10 s add at most 50 and 100 at any T_c the bound above admits (72,041
+#: and 72,091 at T_c = 1 s); T_a may be up to 72 s there, 360 s at T_c = 5 s.
+MAX_WINDOWS_PAST_HALF = MAX_WINDOWS_PER_HALF // 100
 
 
 def default_query_count(anticipation_s: float) -> int:

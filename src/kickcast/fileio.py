@@ -9,6 +9,8 @@ A document is plain dicts and lists, whose text is :func:`dump_json`'s.  The
 eval-clips, predictions and targets writers build no document: each sorts its
 records and writes their texts one at a time into the frame that
 :func:`dump_json` makes of the document's other values (:func:`_write_frame`).
+Predictions are encoded and written one clip at a time: one text, and one
+write, holds all of a clip's records.
 
 Every record list is read through :func:`_read_records`, its fields with the
 value rules of :mod:`kickcast.jsonio`: a bad record is one FileFormatError naming it.
@@ -47,7 +49,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .annotations import parse_label
+from .annotations import ActionClass, parse_label
 from .config import BenchConfig
 from .jsonio import FileFormatError, brief, exact, number, output, read_json, write_text
 from .losses import SlotOutput
@@ -142,6 +144,14 @@ def _write_frame(path: str | Path, head: dict, key: str, texts: Iterable[str]) -
             sep = ",\n    "
         # A list with items closes on a line of its own; an empty one is "[]".
         out.write(frame[at:] if sep == "\n    " else "\n  " + frame[at:])
+
+
+def _objects(value: Any, name: str) -> list:
+    """``value`` if it is a list of objects; a wrong item is named ``name #i``."""
+    for i, item in enumerate(exact(value, list, name)):
+        if not isinstance(item, dict):
+            raise TypeError(f"{name} #{i} must be an object, got {brief(item)}")
+    return value
 
 
 def _load(path: str | Path, expected_format: str) -> dict:
@@ -307,7 +317,7 @@ def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
                 parse_label(exact(a["label"], str, "label")),
                 exact(a["offset_ms"], int, "offset_ms"),
             )
-            for a in exact(rec["gt_actions"], list, "gt_actions")
+            for a in _objects(rec["gt_actions"], "gt_actions")
         ),
     )
     for key, kind in (("clip_id", str), ("context_start_ms", int), ("context_end_ms", int)):
@@ -336,6 +346,12 @@ def read_eval_clips(path: str | Path) -> tuple[list[EvalClip], BenchConfig]:
 
 
 _PREDICTION = _template(("clip_id", "confidence", "label", "time_s"), 2)
+#: :data:`_PREDICTION` with ``%r`` for confidence and time: a finite float's
+#: repr is its JSON text.  (The template's keys hold no ``%``, so it has no
+#: ``%%`` for this formatting to undo.)
+_PREDICTION_FLOATS = _PREDICTION % ("%s", "%r", "%s", "%r")
+#: The JSON text of each label, by class.
+_LABEL_TEXT = {label: _encode_str(label.value) for label in ActionClass}
 
 
 def _prediction_text(p: Prediction) -> str:
@@ -354,14 +370,42 @@ def _in_clip_order(p: Prediction) -> tuple[str, float, float]:
     return (p.label.value, p.time_s, -p.confidence)
 
 
+def _clip_predictions_text(clip_id: Any, predictions: Iterable[Prediction]) -> str:
+    """The texts of one clip's predictions in file order, joined as items of one list.
+
+    The clip id is encoded once.  A record whose time and confidence are
+    floats in the reader's ranges is formatted by :data:`_PREDICTION_FLOATS`;
+    any other (an int or bool field, a label of another enum) by
+    :func:`_prediction_text`, which encodes or rejects each field as before.
+    """
+    # Only an exact str is encoded once: equal ids of other types (1, 1.0,
+    # True) can share a clip and are written differently.
+    id_text = _encode_str(clip_id) if type(clip_id) is str else None
+    texts = []
+    for p in sorted(predictions, key=_in_clip_order):
+        _, label, time_s, confidence, _ = p
+        label_text = _LABEL_TEXT.get(label)
+        if (
+            id_text is not None
+            and label_text is not None
+            and type(time_s) is float
+            and type(confidence) is float
+            and 0.0 <= time_s < math.inf
+            and 0.0 <= confidence <= 1.0
+        ):
+            texts.append(_PREDICTION_FLOATS % (id_text, confidence, label_text, time_s))
+        else:
+            texts.append(_prediction_text(p))
+    return ",\n    ".join(texts)
+
+
 def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> None:
     # The order of the key (clip_id, label, time_s, -confidence), with key
-    # tuples for one clip at a time: for the whole file they would take about
-    # as much memory as its text.
+    # tuples and record texts for one clip at a time: for the whole file they
+    # would take about as much memory as its text.  Each clip is one write.
     by_clip = groupby(sorted(predictions, key=_CLIP_ID), _CLIP_ID)
-    ordered = [p for _, clip in by_clip for p in sorted(clip, key=_in_clip_order)]
     head = {"format": FORMAT_PREDICTIONS, "version": VERSION}
-    _write_frame(path, head, "predictions", map(_prediction_text, ordered))
+    _write_frame(path, head, "predictions", (_clip_predictions_text(*group) for group in by_clip))
 
 
 def _prediction(rec: dict) -> Prediction:
@@ -478,10 +522,10 @@ def _loss_clip(rec: dict) -> _LossEntry:
             ),
             time_raw=number(o["time_raw"], "time_raw"),
         )
-        for o in exact(rec["outputs"], list, "outputs")
+        for o in _objects(rec["outputs"], "outputs")
     ]
     slots = []
-    for s in exact(rec["slots"], list, "slots"):
+    for s in _objects(rec["slots"], "slots"):
         actionness, hot, time = s["actionness"], s["class_multihot"], s["time"]
         if exact(hot, list, "class_multihot", nullable=True) is not None:
             hot = tuple(exact(v, int, "class_multihot") for v in hot)

@@ -21,6 +21,7 @@ from kickcast.config import (
     MAX_PREDICTIONS_PER_CLIP,
     MAX_QUERIES,
     MAX_TOLERANCES,
+    MAX_WINDOWS_PAST_HALF,
     MAX_WINDOWS_PER_HALF,
     NUM_CLASSES,
     BenchConfig,
@@ -729,6 +730,24 @@ class TestBadInput:
         assert (code, out) == (2, "")
         assert err == f"kickcast: error: {bad}: clip #0: {field} must be {what}, got {value!r}\n"
 
+    @pytest.mark.parametrize("value", ["x", 5, [], None])
+    @pytest.mark.parametrize("field", ["gt_actions", "outputs", "slots"])
+    def test_item_of_wrong_type(self, tmp_path, capsys, clips_file, oracle_file, field, value):
+        bad = tmp_path / "bad.json"
+        if field == "gt_actions":
+            doc = json.loads(clips_file.read_text())
+            doc["clips"][0]["gt_actions"] = [value]
+            argv = ["evaluate", "--gt", str(bad), "--pred", str(oracle_file)]
+        else:
+            doc = loss_check_doc()
+            doc["clips"][0][field][0] = value
+            argv = ["loss-check", str(bad)]
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        want = f"clip #0: {field} #0 must be an object, got {value!r}"
+        assert err == f"kickcast: error: {bad}: {want}\n"
+
     @pytest.mark.parametrize("index", [-1, -10])
     def test_negative_class_index(self, tmp_path, capsys, index):
         doc = loss_check_doc()
@@ -1260,6 +1279,10 @@ class TestBadInput:
             # The finest strides the limit admits: exactly its windows per half.
             ["prepare", "--ta", "0.1"],
             ["targets", "--variant", "anchors", "--tc", "0.999"],
+            # T_a of 5 and 10 s at the finest T_c, and the longest T_a there.
+            ["targets", "--variant", "q-act", "--tc", "0.995", "--ta", "5"],
+            ["targets", "--variant", "q-act", "--tc", "0.995", "--ta", "10"],
+            ["targets", "--variant", "q-eos", "--tc", "1", "--ta", "72"],
         ],
     )
     def test_windows_per_half_bound_admits(self, tmp_path, monkeypatch, argv):
@@ -1271,6 +1294,44 @@ class TestBadInput:
         out = tmp_path / "out.json"
         with pytest.raises(RuntimeError, match="^tiling reached for "):
             main([argv[0], str(FIXTURE_DIR), *argv[1:], "--out", str(out)])
+
+    @pytest.mark.parametrize(
+        "tc, ta, most_s",
+        [
+            ("1", "72.001", 72.0),
+            ("0.995", "100", 72.0),
+            ("5", "360.5", 360.0),
+            ("5", "1e300", 360.0),
+        ],
+    )
+    def test_windows_past_half_bound(self, tmp_path, capsys, monkeypatch, tc, ta, most_s):
+        # A half whose length is inferred is tiled to its last action plus T_a,
+        # so T_a is bounded too, on the flags alone: no file is read.
+        def stop(*args):
+            raise RuntimeError("work reached")
+
+        for name in ("load_corpus", "make_train_clips"):
+            monkeypatch.setattr(cli, name, stop)
+        out = tmp_path / "out.json"
+        argv = ["targets", str(FIXTURE_DIR), "--variant", "q-act", "--tc", tc, "--ta", ta]
+        code, _, err = run([*argv, "--out", str(out)], capsys)
+        self.assert_one_error_line(code, err)
+        assert err.startswith(
+            f"kickcast: error: --ta {float(ta)!r} tiles more than {MAX_WINDOWS_PAST_HALF} windows "
+        )
+        assert err.endswith(f"at --tc {float(tc)!r}, --ta may be at most {most_s!r} s\n")
+        assert not out.exists()
+
+    def test_windows_past_half_bound_is_a_hard_maximum(self, tmp_path):
+        # The longest tiling a half can get: its length inferred from an action
+        # at the end of the longest half, at the finest T_c and the longest T_a.
+        last = {"gameTime": format_game_time(1, MAX_HALF_MS), "label": "Pass"}
+        doc = {"gameId": "g", "split": "train", "annotations": [last]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        game = cli.load_corpus([str(path)])[0]
+        windows = len(cli.make_train_clips(game, BenchConfig(context_s=1.0, anticipation_s=72.0)))
+        assert MAX_WINDOWS_PER_HALF < windows <= MAX_WINDOWS_PER_HALF + MAX_WINDOWS_PAST_HALF
 
     def test_directory_named_like_annotation_file(self, tmp_path, capsys):
         ann = tmp_path / "ann"

@@ -712,7 +712,8 @@ RECORD_IDS = st.one_of(
     st.text(alphabet='%s()"\\:a0\u00e9\u2028\U0001f600 ', max_size=8),
     st.text(max_size=6),
 )
-LABELS = st.sampled_from(list(ActionClass))
+ALL_LABELS = list(ActionClass)
+LABELS = st.sampled_from(ALL_LABELS)
 #: A slot number field: an int or a float (0 and 0.0 are written differently), or None;
 #: subclasses are written as their base type.
 SLOT_NUMBERS = st.one_of(
@@ -732,15 +733,27 @@ EVAL_CLIPS = st.builds(
     st.booleans(),
     st.lists(st.builds(GtAction, LABELS, st.integers(0, 9_999)), max_size=3),
 )
+#: A prediction's time and confidence: a float, an int or a bool (each written
+#: as its own JSON type).
 PREDICTIONS = st.builds(
     Prediction,
     RECORD_IDS,
     LABELS,
     st.one_of(
-        st.sampled_from([0, 1, 0.0, -0.0, 1.0]), st.integers(0, 10**6), st.floats(0.0, 1e6)
+        st.sampled_from([0, 1, 0.0, -0.0, 1.0, False, True]),
+        st.integers(0, 10**6),
+        st.floats(0.0, 1e6),
     ),
-    st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 0.5]), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 0.5, False, True]), st.floats(0.0, 1.0)),
 )
+#: 145 predictions of one clip, nine to each (label, time_s), so confidence
+#: alone orders them, or input order on a full tie: 1.0 and True, 0 and 0.0.
+#: The id holds text a %-template or a JSON string could trip on.
+ONE_CLIP = [
+    Prediction('a"\\%s\u00e9:1', ALL_LABELS[k % 4], float(k // 12), conf)
+    for k in range(48)
+    for conf in (0.25, 0.75, 1.0 if k % 5 else True)
+] + [Prediction('a"\\%s\u00e9:1', ALL_LABELS[0], 0, 0.5)]
 SLOTS = st.one_of(
     st.sampled_from([BLANK, UNCONSTRAINED, *(head.unpaired for head in HEADS.values())]),
     st.builds(
@@ -787,6 +800,7 @@ class TestWriterBytes:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(PREDICTIONS, max_size=8))
     @example(predictions=[])
+    @example(predictions=ONE_CLIP[::-1])
     def test_predictions(self, predictions):
         text = file_text(write_predictions, predictions)
         assert text == oracle_dump(plain_predictions_doc(predictions))

@@ -24,6 +24,7 @@ from kickcast.config import (
     MAX_PREDICTIONS_PER_CLIP,
     MAX_QUERIES,
     MAX_TOLERANCES,
+    MAX_WINDOWS_PAST_HALF,
     MAX_WINDOWS_PER_HALF,
     BenchConfig,
 )
@@ -237,14 +238,18 @@ MIN_STRIDE_MS = -(-MAX_HALF_MS // MAX_WINDOWS_PER_HALF)
 #: The shortest T_c whose stride, T_c / 10 rounded to the millisecond, is
 #: MIN_STRIDE_MS (995 ms: 99.5 rounds to 100).
 MIN_TC_MS = min(ms for ms in range(1, 10 * MIN_STRIDE_MS + 1) if round(ms / 10) >= MIN_STRIDE_MS)
+#: The longest T_a ``targets`` admits at the finest T_c: 720 strides (72 s).
+MAX_TA_MS = MAX_WINDOWS_PAST_HALF * MIN_STRIDE_MS
 #: Zero, negatives, non-finite numbers and numbers at the edge of a float.
 EDGE_FLOATS = ["0", "-0.0", "-1", "nan", "-inf", "inf", "1e309", "1e308", "5e-324"]
 #: ``--ta`` and ``--tc`` at their edge, 0.5 ms past it (no whole number of
 #: milliseconds), ordinary and huge.  None is shorter than its edge: the
-#: windows bound refuses those before any work starts.
+#: windows bound refuses those before any work starts.  ``--ta`` also at the
+#: longest ``targets`` admits at the finest T_c, and 1 ms past it.
 TA = st.one_of(
     st.sampled_from(
         [repr(MIN_STRIDE_MS / 1000), repr((MIN_STRIDE_MS + 0.5) / 1000), "5", "7200", "1e300"]
+        + [repr(MAX_TA_MS / 1000), repr((MAX_TA_MS + 1) / 1000)]
         + EDGE_FLOATS
     ),
     ms_seconds(MIN_STRIDE_MS),
@@ -326,6 +331,15 @@ def argvs(draw):
 @example(case=("prepare", [f"--ta={MIN_STRIDE_MS / 1000}"]))
 @example(
     case=("targets", ["--variant=q-bce", f"--tc={MIN_TC_MS / 1000}", f"--queries={MAX_QUERIES}"])
+)
+@example(
+    case=("targets", ["--variant=q-act", f"--tc={MIN_TC_MS / 1000}", f"--ta={MAX_TA_MS / 1000}"])
+)
+@example(
+    case=(
+        "targets",
+        ["--variant=q-act", f"--tc={MIN_TC_MS / 1000}", f"--ta={(MAX_TA_MS + 1) / 1000}"],
+    )
 )
 @example(case=("baseline", ["--kind=random", f"--per-clip={MAX_PREDICTIONS_PER_CLIP}"]))
 @example(case=("evaluate", [f"--deltas={distinct_deltas(MAX_TOLERANCES)}"]))
