@@ -10,7 +10,8 @@ eval-clips, predictions and targets writers build no document: each sorts its
 records and writes their texts one at a time into the frame that
 :func:`dump_json` makes of the document's other values (:func:`_write_frame`).
 Predictions are encoded and written one clip at a time: one text, and one
-write, holds all of a clip's records.
+write, holds all of a clip's records, each filled into one template, since a
+:class:`~kickcast.metrics.Prediction` holds only values its file can hold.
 
 Every record list is read through :func:`_read_records`, its fields with the
 value rules of :mod:`kickcast.jsonio`: a bad record is one FileFormatError naming it.
@@ -345,24 +346,12 @@ def read_eval_clips(path: str | Path) -> tuple[list[EvalClip], BenchConfig]:
 # --- predictions ------------------------------------------------------------
 
 
-_PREDICTION = _template(("clip_id", "confidence", "label", "time_s"), 2)
-#: :data:`_PREDICTION` with ``%r`` for confidence and time: a finite float's
-#: repr is its JSON text.  (The template's keys hold no ``%``, so it has no
-#: ``%%`` for this formatting to undo.)
-_PREDICTION_FLOATS = _PREDICTION % ("%s", "%r", "%s", "%r")
+#: A prediction's text, with ``%r`` for confidence and time: a Prediction holds
+#: both as finite floats, whose repr is their JSON text.  (The template's keys
+#: hold no ``%``, so it has no ``%%`` for this formatting to undo.)
+_PREDICTION = _template(("clip_id", "confidence", "label", "time_s"), 2) % ("%s", "%r", "%s", "%r")
 #: The JSON text of each label, by class.
 _LABEL_TEXT = {label: _encode_str(label.value) for label in ActionClass}
-
-
-def _prediction_text(p: Prediction) -> str:
-    return _PREDICTION % (
-        _encode(p.clip_id),
-        _encode(p.confidence),
-        _encode(p.label.value),
-        _encode(p.time_s),
-    )
-
-
 _CLIP_ID = attrgetter("clip_id")
 
 
@@ -370,32 +359,18 @@ def _in_clip_order(p: Prediction) -> tuple[str, float, float]:
     return (p.label.value, p.time_s, -p.confidence)
 
 
-def _clip_predictions_text(clip_id: Any, predictions: Iterable[Prediction]) -> str:
+def _clip_predictions_text(clip_id: str, predictions: Iterable[Prediction]) -> str:
     """The texts of one clip's predictions in file order, joined as items of one list.
 
-    The clip id is encoded once.  A record whose time and confidence are
-    floats in the reader's ranges is formatted by :data:`_PREDICTION_FLOATS`;
-    any other (an int or bool field, a label of another enum) by
-    :func:`_prediction_text`, which encodes or rejects each field as before.
+    Every record is :data:`_PREDICTION` filled in, with the clip id encoded
+    once: a :class:`~kickcast.metrics.Prediction` holds only values the file
+    can hold (a str id, an :class:`ActionClass`, floats in the reader's ranges).
     """
-    # Only an exact str is encoded once: equal ids of other types (1, 1.0,
-    # True) can share a clip and are written differently.
-    id_text = _encode_str(clip_id) if type(clip_id) is str else None
-    texts = []
-    for p in sorted(predictions, key=_in_clip_order):
-        _, label, time_s, confidence, _ = p
-        label_text = _LABEL_TEXT.get(label)
-        if (
-            id_text is not None
-            and label_text is not None
-            and type(time_s) is float
-            and type(confidence) is float
-            and 0.0 <= time_s < math.inf
-            and 0.0 <= confidence <= 1.0
-        ):
-            texts.append(_PREDICTION_FLOATS % (id_text, confidence, label_text, time_s))
-        else:
-            texts.append(_prediction_text(p))
+    id_text = _encode_str(clip_id)
+    texts = [
+        _PREDICTION % (id_text, confidence, _LABEL_TEXT[label], time_s)
+        for _, label, time_s, confidence, _ in sorted(predictions, key=_in_clip_order)
+    ]
     return ",\n    ".join(texts)
 
 

@@ -58,6 +58,16 @@ class _PredictionFields(NamedTuple):
     time_clamped: bool = False
 
 
+def _exact_float(value: object, name: str) -> float:
+    """``value`` as an exact float: from a float (a subclass too) or an int, not a bool."""
+    if not isinstance(value, (float, int)) or isinstance(value, bool):
+        raise MetricError(f"{name} must be a float or an int, got {brief(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise MetricError(f"{name} is an int too large for a float") from None
+
+
 class Prediction(_PredictionFields):
     """One anticipated action.
 
@@ -67,8 +77,10 @@ class Prediction(_PredictionFields):
 
     An immutable tuple subclass: it unpacks as the 5-tuple ``(clip_id, label,
     time_s, confidence, time_clamped)`` and compares equal (with an equal
-    hash) to a plain tuple of the same fields.  Construction, positional or
-    by keyword, checks the time and the confidence.
+    hash) to a plain tuple of the same fields.  Every construction (positional,
+    keyword, ``_make``, ``_replace``) fixes the value form its file holds: a
+    plain str id, an :class:`ActionClass`, and time and confidence as exact
+    floats in range; any other value is one MetricError naming the field.
     """
 
     __slots__ = ()
@@ -81,6 +93,16 @@ class Prediction(_PredictionFields):
         confidence: float,
         time_clamped: bool = False,
     ) -> Prediction:
+        if type(clip_id) is not str:
+            if not isinstance(clip_id, str):
+                raise MetricError(f"clip_id must be a string, got {brief(clip_id)}")
+            clip_id = str.__str__(clip_id)
+        if type(label) is not ActionClass:
+            raise MetricError(f"label must be an ActionClass, got {brief(label)}")
+        if type(time_s) is not float:
+            time_s = _exact_float(time_s, "time_s")
+        if type(confidence) is not float:
+            confidence = _exact_float(confidence, "confidence")
         if not (math.isfinite(time_s) and time_s >= 0.0):
             raise MetricError(f"prediction time {time_s!r} must be finite and >= 0")
         if not 0.0 <= confidence <= 1.0:

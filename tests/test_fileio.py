@@ -733,26 +733,26 @@ EVAL_CLIPS = st.builds(
     st.booleans(),
     st.lists(st.builds(GtAction, LABELS, st.integers(0, 9_999)), max_size=3),
 )
-#: A prediction's time and confidence: a float, an int or a bool (each written
-#: as its own JSON type).
+#: A prediction's time and confidence: a float or an int (each held, and
+#: written, as a float).
 PREDICTIONS = st.builds(
     Prediction,
     RECORD_IDS,
     LABELS,
     st.one_of(
-        st.sampled_from([0, 1, 0.0, -0.0, 1.0, False, True]),
+        st.sampled_from([0, 1, 0.0, -0.0, 1.0]),
         st.integers(0, 10**6),
         st.floats(0.0, 1e6),
     ),
-    st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 0.5, False, True]), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 0.5]), st.floats(0.0, 1.0)),
 )
 #: 145 predictions of one clip, nine to each (label, time_s), so confidence
-#: alone orders them, or input order on a full tie: 1.0 and True, 0 and 0.0.
+#: alone orders them, or input order on a full tie: 1.0 and 1, 0 and 0.0.
 #: The id holds text a %-template or a JSON string could trip on.
 ONE_CLIP = [
     Prediction('a"\\%s\u00e9:1', ALL_LABELS[k % 4], float(k // 12), conf)
     for k in range(48)
-    for conf in (0.25, 0.75, 1.0 if k % 5 else True)
+    for conf in (0.25, 0.75, 1.0 if k % 5 else 1)
 ] + [Prediction('a"\\%s\u00e9:1', ALL_LABELS[0], 0, 0.5)]
 SLOTS = st.one_of(
     st.sampled_from([BLANK, UNCONSTRAINED, *(head.unpaired for head in HEADS.values())]),
@@ -813,6 +813,32 @@ class TestWriterBytes:
         text = file_text(write_targets, pairs, CFG, variant)
         assert text == oracle_dump(plain_targets_doc(pairs, CFG, variant))
         assert file_text(write_targets, pairs, CFG, variant) == text
+
+
+class TestPredictionsReWrite:
+    """A predictions file reads back as what was written, and writes again as the same bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(PREDICTIONS, max_size=8))
+    @example(predictions=[])
+    @example(predictions=[Prediction("c", ActionClass.PASS, 3, 1)])
+    @example(predictions=ONE_CLIP[::-1])
+    def test_read_then_write_again(self, predictions):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+            write_predictions(first, predictions)
+            read = read_predictions(first)
+            write_predictions(second, read)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        in_file_order = sorted(
+            predictions, key=lambda p: (p.clip_id, p.label.value, p.time_s, -p.confidence)
+        )
+        # A file holds no clamp flag, and reads each as False.
+        assert [p[:4] for p in read] == [p[:4] for p in in_file_order]
+        assert not any(p.time_clamped for p in read)
+        for p in predictions + read:
+            assert [type(v) for v in p[:4]] == [str, ActionClass, float, float]
 
 
 class TestTargetsMemory:

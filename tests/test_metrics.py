@@ -522,6 +522,74 @@ class TestPrediction:
         with pytest.raises(MetricError, match="confidence 2.0 outside"):
             p._replace(confidence=2.0)
 
+    GOOD = Prediction("c", PASS, 1.0, 0.5)
+
+    def builds(self, change):
+        """GOOD with ``change``, built positionally, by keyword, by _make and by _replace."""
+        values = {**self.GOOD._asdict(), **change}
+        return [
+            lambda: Prediction(*values.values()),
+            lambda: Prediction(**values),
+            lambda: Prediction._make(values.values()),
+            lambda: self.GOOD._replace(**change),
+        ]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"time_s": True}, "time_s must be a float or an int, got True"),
+            ({"time_s": False}, "time_s must be a float or an int, got False"),
+            ({"confidence": True}, "confidence must be a float or an int, got True"),
+            ({"confidence": False}, "confidence must be a float or an int, got False"),
+            ({"time_s": "1.0"}, "time_s must be a float or an int, got '1.0'"),
+            ({"time_s": 10**400}, "time_s is an int too large for a float"),
+            ({"confidence": 10**400}, "confidence is an int too large for a float"),
+            ({"clip_id": 7}, "clip_id must be a string, got 7"),
+            ({"clip_id": None}, "clip_id must be a string, got None"),
+            ({"clip_id": b"c"}, "clip_id must be a string, got b'c'"),
+            ({"label": "Pass"}, "label must be an ActionClass, got 'Pass'"),
+            (
+                {"label": HeadVariant.Q_ACT},
+                "label must be an ActionClass, got <HeadVariant.Q_ACT: 'q-act'>",
+            ),
+        ],
+        ids=[
+            "true-time", "false-time", "true-confidence", "false-confidence", "string-time",
+            "huge-time", "huge-confidence", "int-clip", "none-clip", "bytes-clip",
+            "string-label", "other-enum-label",
+        ],
+    )
+    def test_value_form_is_checked_every_way_in(self, change, message):
+        for build in self.builds(change):
+            with pytest.raises(MetricError) as info:
+                build()
+            assert str(info.value) == message
+
+    class Seconds(float):
+        def __repr__(self):
+            return "Seconds()"
+
+    class Name(str):
+        pass
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"time_s": 3, "confidence": 1},
+            {"time_s": 0, "confidence": 0},
+            {"time_s": Seconds(2.5), "confidence": Seconds(0.25)},
+            {"clip_id": Name("c")},
+        ],
+        ids=["ints", "zeros", "float-subclass", "str-subclass"],
+    )
+    def test_values_are_held_in_their_exact_types(self, change):
+        values = tuple({**self.GOOD._asdict(), **change}.values())
+        for build in self.builds(change):
+            p = build()
+            assert p == values
+            assert [type(v) for v in p] == [str, ActionClass, float, float, bool]
+            assert repr(p.time_s) == repr(float(values[2]))
+
     @pytest.mark.parametrize(
         "field", ["clip_id", "label", "time_s", "confidence", "time_clamped"]
     )
