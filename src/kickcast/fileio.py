@@ -9,12 +9,15 @@ A document is plain dicts and lists, whose text is :func:`dump_json`'s.  The
 eval-clips, predictions and targets writers build no document: each sorts its
 records and writes their texts one at a time into the frame that
 :func:`dump_json` makes of the document's other values (:func:`_write_frame`).
-Predictions are encoded and written one clip at a time: one text, and one
-write, holds all of a clip's records, each filled into one template, since a
-:class:`~kickcast.metrics.Prediction` holds only values its file can hold.
+A record's fields are formatted into its template: integers by ``%d``, strings
+by the stdlib's encoder, booleans and labels from tables, floats by their repr.
+Predictions are written one clip at a time, a clip's records in one text.
 
 Every record list is read through :func:`_read_records`, its fields with the
-value rules of :mod:`kickcast.jsonio`: a bad record is one FileFormatError naming it.
+value rules of :mod:`kickcast.jsonio`: a bad record is one FileFormatError
+naming it.  Writers hold each field to the same rules, so what they write reads
+back: an eval clip by :func:`_checked_clip`, which its reader applies too, a
+slot by the loss-check slot reader's kinds, a prediction by its constructor.
 
 Formats (all version 1):
 
@@ -67,30 +70,9 @@ VERSION = 1
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-
-
-def _encode_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
-
-
-#: JSON text of a scalar, keyed by its exact type.
-_SCALARS: dict[type, Callable[[Any], str]] = {
-    str: _encode_str,
-    int: int.__repr__,
-    float: _encode_float,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _encode(value: Any) -> str:
-    """A record field's text: through :data:`_SCALARS`, or the stdlib for other types."""
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
-    return json.dumps(value, allow_nan=False)
+#: The JSON text of each boolean and of each label.
+_BOOL_TEXT = {False: "false", True: "true"}
+_LABEL_TEXT = {label: _encode_str(label.value) for label in ActionClass}
 
 
 def _template(keys: tuple, depth: int) -> str:
@@ -265,74 +247,77 @@ def _config(doc: Any, path: str | Path) -> BenchConfig:
 # --- eval clips -------------------------------------------------------------
 
 
-_EVAL_CLIP = _template(
-    (
-        "anticipation_end_ms",
-        "anticipation_start_ms",
-        "clip_id",
-        "context_end_ms",
-        "context_start_ms",
-        "game_id",
-        "gt_actions",
-        "half",
-        "partial",
-    ),
-    2,
+#: An eval clip's text: its fields and the three derived from them, with ``%d``
+#: for each integer in sorted key order.  (The keys hold no ``%``, so the
+#: template has no ``%%`` for this formatting to undo.)
+_DERIVED = ("clip_id", "context_start_ms", "context_end_ms")
+_EVAL_CLIP = _template(EvalClip._fields + _DERIVED, 2) % (
+    "%d", "%d", "%s", "%d", "%d", "%s", "%s", "%d", "%s"
 )
-_GT_ACTION = _template(("label", "offset_ms"), 4)  # in a clip's gt_actions list
+_GT_ACTION = _template(("label", "offset_ms"), 4) % ("%s", "%d")  # in a clip's gt_actions list
+
+
+def _checked_clip(clip: EvalClip, ta_ms: int) -> EvalClip:
+    """``clip``, if an eval-clips file at T_a = ``ta_ms`` can hold it: read or written.
+
+    Each field's kind, a non-empty game id, half 1 or 2, a start >= 0, a window
+    T_a long unless ``partial``, and every action inside the window.
+    """
+    game_id, half, start, end, partial, actions = clip
+    if not exact(game_id, str, "game_id"):
+        raise ValueError("game_id must not be empty")
+    if exact(half, int, "half") not in (1, 2):
+        raise ValueError(f"half must be 1 or 2, got {brief(half)}")
+    if exact(start, int, "anticipation_start_ms") < 0:
+        raise ValueError(f"anticipation_start_ms must be >= 0, got {brief(start)}")
+    window = exact(end, int, "anticipation_end_ms") - start
+    if not 0 < window <= ta_ms or (window < ta_ms) != exact(partial, bool, "partial"):
+        raise ValueError(
+            f"span of {window} ms inconsistent with partial={partial} at T_a={ta_ms} ms"
+        )
+    for label, offset_ms in actions:
+        if type(label) is not ActionClass:
+            raise TypeError(f"label must be an ActionClass, got {brief(label)}")
+        if not 0 <= exact(offset_ms, int, "offset_ms") < window:
+            raise ValueError(f"action at {offset_ms} ms outside {window} ms span")
+    return clip
 
 
 def _eval_clip_text(clip: EvalClip) -> str:
-    actions = [
-        _GT_ACTION % (_encode(a.label.value), _encode(a.offset_ms))
-        for a in clip.gt_actions
-    ]
+    game_id, half, start, end, partial, actions = clip
+    texts = [_GT_ACTION % (_LABEL_TEXT[label], offset_ms) for label, offset_ms in actions]
     return _EVAL_CLIP % (
-        _encode(clip.anticipation_end_ms),
-        _encode(clip.anticipation_start_ms),
-        _encode(clip.clip_id),
-        _encode(clip.context_end_ms),
-        _encode(clip.context_start_ms),
-        _encode(clip.game_id),
-        _join(actions, 3),
-        _encode(clip.half),
-        _encode(clip.partial),
+        end,
+        start,
+        _encode_str(clip.clip_id),
+        clip.context_end_ms,
+        clip.context_start_ms,
+        _encode_str(game_id),
+        _join(texts, 3),
+        half,
+        _BOOL_TEXT[partial],
     )
 
 
 def write_eval_clips(path: str | Path, clips: Iterable[EvalClip], cfg: BenchConfig) -> None:
-    ordered = sorted(clips, key=attrgetter("sort_key"))
+    """Write ``clips``, each checked by :func:`_checked_clip` before any is written."""
+    check = functools.partial(_checked_clip, ta_ms=cfg.anticipation_ms)
+    ordered = sorted(map(check, clips), key=attrgetter("sort_key"))
     head = {"format": FORMAT_EVAL_CLIPS, "version": VERSION, "config": config_to_doc(cfg)}
     _write_frame(path, head, "clips", map(_eval_clip_text, ordered))
 
 
 def _eval_clip(rec: dict, ta_ms: int) -> EvalClip:
-    clip = EvalClip(
-        game_id=exact(rec["game_id"], str, "game_id"),
-        half=exact(rec["half"], int, "half"),
-        anticipation_start_ms=exact(rec["anticipation_start_ms"], int, "anticipation_start_ms"),
-        anticipation_end_ms=exact(rec["anticipation_end_ms"], int, "anticipation_end_ms"),
-        partial=exact(rec["partial"], bool, "partial"),
-        gt_actions=tuple(
-            GtAction(
-                parse_label(exact(a["label"], str, "label")),
-                exact(a["offset_ms"], int, "offset_ms"),
-            )
-            for a in _objects(rec["gt_actions"], "gt_actions")
-        ),
+    actions = tuple(
+        GtAction(parse_label(exact(a["label"], str, "label")), a["offset_ms"])
+        for a in _objects(rec["gt_actions"], "gt_actions")
     )
-    for key, kind in (("clip_id", str), ("context_start_ms", int), ("context_end_ms", int)):
+    # The file's keys are the clip's field names.
+    clip = _checked_clip(EvalClip(*(rec[key] for key in EvalClip._fields[:-1]), actions), ta_ms)
+    for key, kind in zip(_DERIVED, (str, int, int)):
         derived = getattr(clip, key)
         if exact(rec[key], kind, key) != derived:
             raise ValueError(f"{key} {brief(rec[key])} does not match derived {brief(derived)}")
-    window = clip.window_len_ms
-    if not 0 < window <= ta_ms or (window < ta_ms) != clip.partial:
-        raise ValueError(
-            f"span of {window} ms inconsistent with partial={clip.partial} at T_a={ta_ms} ms"
-        )
-    for a in clip.gt_actions:
-        if not 0 <= a.offset_ms < window:
-            raise ValueError(f"action at {a.offset_ms} ms outside {window} ms span")
     return clip
 
 
@@ -350,8 +335,6 @@ def read_eval_clips(path: str | Path) -> tuple[list[EvalClip], BenchConfig]:
 #: both as finite floats, whose repr is their JSON text.  (The template's keys
 #: hold no ``%``, so it has no ``%%`` for this formatting to undo.)
 _PREDICTION = _template(("clip_id", "confidence", "label", "time_s"), 2) % ("%s", "%r", "%s", "%r")
-#: The JSON text of each label, by class.
-_LABEL_TEXT = {label: _encode_str(label.value) for label in ActionClass}
 _CLIP_ID = attrgetter("clip_id")
 
 
@@ -415,19 +398,33 @@ _TARGET_CLIP = _template(("clip_id", "slots", "truncated"), 2)
 _SLOT = _template(("actionness", "class_index", "class_multihot", "gt_index", "time"), 4)
 
 
+def _number_text(value: float | None, name: str) -> str:
+    """The text of a slot's ``actionness`` or ``time``: a finite number, as a float, or null."""
+    if value is None:
+        return "null"
+    if not math.isfinite(value := number(value, name)):
+        raise ValueError(f"{name} {value!r}: out of range float values are not JSON compliant")
+    return repr(value)
+
+
 def _multihot_text(hot: tuple | list | None) -> str:
-    """The text of a slot's ``class_multihot``: a list of its values, or null for none."""
-    return _join(list(map(_encode, hot)), 5) if hot else "null"
+    """The text of a slot's ``class_multihot``: a list of integers, or null."""
+    if hot is None:
+        return "null"
+    if not isinstance(hot, (list, tuple)):
+        raise TypeError(f"class_multihot must be a list, got {brief(hot)}")
+    return _join(["%d" % exact(v, int, "class_multihot") for v in hot], 5)
 
 
 def _slot_text(slot: SlotTarget) -> str:
-    hot = slot.class_multihot
+    """A slot's text, each field held to the kinds the loss-check slot reader takes."""
+    gt_index, actionness, class_index, hot, time = slot
     return _SLOT % (
-        _encode(slot.actionness),
-        _encode(slot.class_index),
+        _number_text(actionness, "actionness"),
+        "null" if class_index is None else "%d" % exact(class_index, int, "class_index"),
         hit[1] if (hit := _SHARED.get(id(hot))) else _multihot_text(hot),
-        _encode(slot.gt_index),
-        _encode(slot.time),
+        "null" if gt_index is None else "%d" % exact(gt_index, int, "gt_index"),
+        _number_text(time, "time"),
     )
 
 
@@ -436,9 +433,8 @@ def _slot_text(slot: SlotTarget) -> str:
 #: q-bce) or of a class (:data:`~kickcast.targets.ONE_HOT`, shared by every
 #: paired q-bce slot of that class), and the unpaired slots (:data:`BLANK`,
 #: :data:`UNCONSTRAINED` and each head's ``unpaired``).  They are found by
-#: identity, not value: ``SlotTarget(actionness=0)`` equals
-#: ``SlotTarget(actionness=0.0)`` but encodes differently, and an equal
-#: multi-hot list or tuple built elsewhere may hold booleans.  Each entry
+#: identity, not value, so only these objects, checked here, skip the writer's
+#: checks (``(False, True)`` equals ``(0, 1)``, and is refused).  Each entry
 #: holds its value next to its text, so the id is never reused.
 _SHARED: dict[int, tuple[Any, str]] = {}
 _SHARED.update((id(hot), (hot, _multihot_text(hot))) for hot in (None, *ONE_HOT))
@@ -448,10 +444,12 @@ _SHARED.update(
 )
 
 
-def _target_clip_text(pair: tuple[str, Assignment]) -> str:
-    clip_id, assignment = pair
+def _target_clip_text(clip_id: str, assignment: Assignment, variant: HeadVariant) -> str:
+    if assignment.variant is not variant:
+        raise ValueError(f"clip {brief(clip_id)}: {assignment.variant} targets in a {variant} file")
     slots = [hit[1] if (hit := _SHARED.get(id(s))) else _slot_text(s) for s in assignment.slots]
-    return _TARGET_CLIP % (_encode(clip_id), _join(slots, 3), _encode(assignment.truncated))
+    truncated = _BOOL_TEXT[exact(assignment.truncated, bool, "truncated")]
+    return _TARGET_CLIP % (_encode_str(exact(clip_id, str, "clip_id")), _join(slots, 3), truncated)
 
 
 def write_targets(
@@ -467,7 +465,7 @@ def write_targets(
         "config": config_to_doc(cfg),
         "variant": variant.value,
     }
-    _write_frame(path, head, "clips", map(_target_clip_text, ordered))
+    _write_frame(path, head, "clips", (_target_clip_text(*pair, variant) for pair in ordered))
 
 
 # --- loss-check input -------------------------------------------------------

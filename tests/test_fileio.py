@@ -156,6 +156,11 @@ def plain_predictions_doc(predictions):
     }
 
 
+def as_read(value):
+    """A slot's actionness or time as the loss-check reader holds it: a float, or None."""
+    return None if value is None else float(value)
+
+
 def plain_targets_doc(pairs, cfg, variant):
     return {
         "format": "kickcast-targets",
@@ -169,10 +174,12 @@ def plain_targets_doc(pairs, cfg, variant):
                 "slots": [
                     {
                         "gt_index": s.gt_index,
-                        "actionness": s.actionness,
+                        "actionness": as_read(s.actionness),
                         "class_index": s.class_index,
-                        "class_multihot": list(s.class_multihot) if s.class_multihot else None,
-                        "time": s.time,
+                        "class_multihot": (
+                            None if s.class_multihot is None else list(s.class_multihot)
+                        ),
+                        "time": as_read(s.time),
                     }
                     for s in a.slots
                 ],
@@ -497,6 +504,52 @@ class TestEvalClipsFile:
         with pytest.raises(FileFormatError, match="outside"):
             read_eval_clips(path)
 
+    GOOD = EvalClip("g", 1, 5000, 10000, False, (GtAction(ActionClass.PASS, 10),))
+
+    @pytest.mark.parametrize(
+        "bad, ta, error",
+        [
+            (GOOD._replace(partial=0), 5.0, "partial must be a boolean, got 0"),
+            (GOOD._replace(half=True), 5.0, "half must be an integer, got True"),
+            (
+                GOOD._replace(gt_actions=(GtAction(ActionClass.PASS, True),)),
+                5.0,
+                "offset_ms must be an integer, got True",
+            ),
+            (GOOD, 10.0, "span of 5000 ms inconsistent with partial=False at T_a=10000 ms"),
+            (GOOD._replace(half=3), 5.0, "half must be 1 or 2, got 3"),
+            (
+                GOOD._replace(anticipation_start_ms=-5000, anticipation_end_ms=0),
+                5.0,
+                "anticipation_start_ms must be >= 0, got -5000",
+            ),
+            (GOOD._replace(game_id=""), 5.0, "game_id must not be empty"),
+        ],
+        ids=["partial-0", "half-true", "offset-true", "ta-mismatch", "half-3", "negative-start",
+             "empty-game-id"],
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, bad, ta, error):
+        # One rule set: the writer refuses the clip, leaving --out as it was,
+        # and the reader refuses the record that holds it.
+        cfg = BenchConfig(anticipation_s=ta)
+        path = tmp_path / "clips.json"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises((TypeError, ValueError)) as info:
+            write_eval_clips(path, [self.GOOD._replace(game_id="f"), bad], cfg)
+        assert str(info.value) == error
+        assert path.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+        path.write_text(oracle_dump(plain_eval_clips_doc([bad], cfg)))
+        with pytest.raises(FileFormatError) as info:
+            read_eval_clips(path)
+        assert str(info.value) == f"{path}: clip #0: {error}"
+
+    def test_writer_refuses_a_label_that_is_not_a_class(self, tmp_path):
+        bad = self.GOOD._replace(gt_actions=(GtAction("Pass", 10),))
+        with pytest.raises(TypeError, match="label must be an ActionClass, got 'Pass'"):
+            write_eval_clips(tmp_path / "clips.json", [bad], CFG)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPredictionsFile:
     def test_round_trip(self, tmp_path, some_predictions):
@@ -654,24 +707,26 @@ class TestTargetsFile:
         fresh = plain_targets_doc(pairs, cfg, variant)
         assert file_text(write_targets, pairs, cfg, variant) == oracle_dump(fresh)
 
-    def test_equal_slots_of_different_types_keep_their_text(self):
-        # SlotTarget(actionness=0) == SlotTarget(actionness=0.0), but JSON
-        # writes them as 0 and 0.0: slots are shared by identity, not value.
-        as_int = SlotTarget(gt_index=None, actionness=0)
-        as_float = SlotTarget(gt_index=None, actionness=0.0)
+    def test_equal_slots_of_different_types_write_one_text(self):
+        # SlotTarget(actionness=0) == SlotTarget(actionness=0.0), and the
+        # loss-check reader holds both as 0.0: an int in a number field is
+        # written as the float it reads back as.
+        as_int = SlotTarget(gt_index=None, actionness=0, time=1)
+        as_float = SlotTarget(gt_index=None, actionness=0.0, time=1.0)
         assert as_int == as_float
         slots = (as_int, as_int, as_float, as_float, as_int)
         pairs = [("c", Assignment(HeadVariant.Q_ACT, slots))]
-        doc = file_doc(write_targets, pairs, CFG, HeadVariant.Q_ACT)
-        values = [doc["clips"][0]["slots"][i]["actionness"] for i in range(5)]
-        assert [type(v) for v in values] == [int, int, float, float, int]
+        text = file_text(write_targets, pairs, CFG, HeadVariant.Q_ACT)
+        written = json.loads(text)["clips"][0]["slots"]
+        assert [(type(s["actionness"]), type(s["time"])) for s in written] == [(float, float)] * 5
+        floats = [("c", Assignment(HeadVariant.Q_ACT, (as_float,) * 5))]
+        assert text == file_text(write_targets, floats, CFG, HeadVariant.Q_ACT)
 
     @pytest.mark.parametrize(
         "hot",
         [
             ONE_HOT[3][:1] + ONE_HOT[3][1:],  # equal to ONE_HOT[3], another tuple
             list(ONE_HOT[3]),
-            tuple(bool(v) for v in ONE_HOT[3]),  # equal too, but written as booleans
             (1, 0, 0, 1, 0, 0, 0, 0, 0, 0),  # not one-hot
             (0,) * 10,
         ],
@@ -691,6 +746,51 @@ class TestTargetsFile:
         written_hot = json.loads(text)["clips"][0]["slots"][1]["class_multihot"]
         assert [type(v) for v in written_hot] == [type(v) for v in hot]
 
+    @pytest.mark.parametrize(
+        "clip_id, slot, truncated, error",
+        [
+            ("c", SlotTarget(0, 1.0, None, tuple(map(bool, ONE_HOT[3])), 0.25),
+             False, "class_multihot must be an integer, got False"),
+            ("c", SlotTarget(0, 1.0, None, {0, 1}, 0.25), False,
+             "class_multihot must be a list, got {0, 1}"),
+            ("c", SlotTarget(Level.HIGH, 1.0, 3), False,
+             "gt_index must be an integer, got <Level.HIGH: 3>"),
+            ("c", SlotTarget(0, 1.0, True), False, "class_index must be an integer, got True"),
+            ("c", SlotTarget(0, True, 3), False, "actionness must be a number, got True"),
+            ("c", SlotTarget(0, 1.0, 3, None, Ratio(0.5)), False,
+             "time must be a number, got Ratio()"),
+            ("c", SlotTarget(0, 10**400, 3), False,
+             "actionness is an integer too large for a float"),
+            ("c", SlotTarget(0, 1.0, 3, None, "0.5"), False, "time must be a number, got '0.5'"),
+            (7, BLANK, False, "clip_id must be a string, got 7"),
+            ("c", BLANK, 0, "truncated must be a boolean, got 0"),
+        ],
+        ids=["bool-multihot", "set-multihot", "intenum-gt-index", "bool-class-index",
+             "bool-actionness", "float-subclass-time", "huge-actionness", "string-time",
+             "int-clip-id", "int-truncated"],
+    )
+    def test_writer_refuses_fields_of_other_kinds(self, tmp_path, clip_id, slot, truncated, error):
+        # Each slot field is held to the kinds the loss-check slot reader holds.
+        path = tmp_path / "targets.json"
+        path.write_bytes(b"old bytes\n")
+        pairs = [(clip_id, Assignment(HeadVariant.Q_BCE, (slot, BLANK), truncated))]
+        with pytest.raises((TypeError, ValueError)) as info:
+            write_targets(path, pairs, CFG, HeadVariant.Q_BCE)
+        assert str(info.value) == error
+        assert path.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_assignment_of_another_variant_refused(self, tmp_path, eval_clips):
+        clip = next(c for c in eval_clips if c.gt_actions)
+        assignment = assign_for_variant(HeadVariant.Q_ACT, clip.gt_actions, CFG)
+        path = tmp_path / "targets.json"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(ValueError) as info:
+            write_targets(path, [(clip.clip_id, assignment)], CFG, HeadVariant.Q_BCE)
+        assert str(info.value) == (
+            f"clip {clip.clip_id!r}: HeadVariant.Q_ACT targets in a HeadVariant.Q_BCE file"
+        )
+        assert path.read_bytes() == b"old bytes\n"
 
     def test_non_finite_slot_fails_cleanly(self, tmp_path):
         # The good records before the bad one overflow the write buffer, so the
@@ -714,24 +814,50 @@ RECORD_IDS = st.one_of(
 )
 ALL_LABELS = list(ActionClass)
 LABELS = st.sampled_from(ALL_LABELS)
-#: A slot number field: an int or a float (0 and 0.0 are written differently), or None;
-#: subclasses are written as their base type.
+#: A slot number field: an int or a float (each held, and written, as a float), or None.
 SLOT_NUMBERS = st.one_of(
     st.none(),
     st.integers(-3, 2**64),
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0, 0.0, -0.0, 1, 1.0, Level.HIGH, Ratio(0.5)]),
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0]),
 )
-EVAL_CLIPS = st.builds(
+
+
+def eval_clips_at(ta: float):
+    """``(ta, clips)``: eval clips that a file at T_a = ``ta`` s holds, each full or ``partial``."""
+    ta_ms = round(ta * 1000)
+
+    def clip(game_id, half, start, span, actions):
+        actions = tuple(GtAction(label, offset % span) for label, offset in actions)
+        return EvalClip(game_id, half, start, start + span, span < ta_ms, actions)
+
+    clips = st.builds(
+        clip,
+        RECORD_IDS.filter(bool),
+        st.integers(1, 2),
+        st.integers(0, 10**7),
+        st.one_of(st.just(ta_ms), st.integers(1, ta_ms)),
+        st.lists(st.tuples(LABELS, st.integers(0, 9_999)), max_size=3),
+    )
+    return st.tuples(st.just(ta), st.lists(clips, max_size=6))
+
+
+EVAL_CLIPS = st.sampled_from([5.0, 10.0]).flatmap(eval_clips_at)
+#: Eval clips of any span and ``partial`` flag, some with a half, a start, an
+#: offset or a field kind that an eval-clips file refuses.
+ANY_EVAL_CLIPS = st.builds(
     lambda game_id, half, start, span, partial, actions: EvalClip(
         game_id, half, start, start + span, partial, tuple(actions)
     ),
     RECORD_IDS,
-    st.integers(1, 2),
-    st.integers(0, 10**7),
-    st.integers(1, 10_000),
-    st.booleans(),
-    st.lists(st.builds(GtAction, LABELS, st.integers(0, 9_999)), max_size=3),
+    st.sampled_from([1, 2, 0, 3, True]),
+    st.one_of(st.integers(0, 10**7), st.just(-5000)),
+    st.integers(-1, 10_000),
+    st.sampled_from([False, True, 0, 1]),
+    st.lists(
+        st.builds(GtAction, LABELS, st.one_of(st.integers(-1, 10_000), st.just(True))),
+        max_size=3,
+    ),
 )
 #: A prediction's time and confidence: a float or an int (each held, and
 #: written, as a float).
@@ -766,19 +892,27 @@ SLOTS = st.one_of(
             st.just(()),
             st.sampled_from(ONE_HOT),
             st.sampled_from(ONE_HOT).map(list),  # equal values, other objects
-            st.lists(st.sampled_from([0, 1, False, True]), max_size=10).map(tuple),
+            st.lists(st.sampled_from([0, 1]), max_size=10).map(tuple),
         ),
         time=SLOT_NUMBERS,
     ),
 )
-ASSIGNMENTS = st.tuples(
-    RECORD_IDS,
-    st.builds(
-        lambda slots, truncated: Assignment(HeadVariant.Q_ACT, tuple(slots), truncated),
-        st.lists(SLOTS, max_size=6),
-        st.booleans(),
-    ),
-)
+
+
+def assignments_of(variant: HeadVariant):
+    """``(variant, pairs)``: (clip id, assignment) pairs of ``variant``."""
+    pair = st.tuples(
+        RECORD_IDS,
+        st.builds(
+            lambda slots, truncated: Assignment(variant, tuple(slots), truncated),
+            st.lists(SLOTS, max_size=6),
+            st.booleans(),
+        ),
+    )
+    return st.tuples(st.just(variant), st.lists(pair, max_size=6))
+
+
+ASSIGNMENTS = st.sampled_from(list(HeadVariant)).flatmap(assignments_of)
 
 
 class TestWriterBytes:
@@ -789,13 +923,36 @@ class TestWriterBytes:
     """
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(EVAL_CLIPS, max_size=6), st.sampled_from([5.0, 10.0]))
-    @example(clips=[], ta=5.0)
-    def test_eval_clips(self, clips, ta):
+    @given(EVAL_CLIPS)
+    @example(drawn=(5.0, []))
+    def test_eval_clips(self, drawn):
+        ta, clips = drawn
         cfg = BenchConfig(anticipation_s=ta)
         text = file_text(write_eval_clips, clips, cfg)
         assert text == oracle_dump(plain_eval_clips_doc(clips, cfg))
         assert file_text(write_eval_clips, clips, cfg) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ANY_EVAL_CLIPS, min_size=1, max_size=3), st.sampled_from([5.0, 10.0]))
+    def test_eval_clips_writer_refuses_what_the_reader_refuses(self, clips, ta):
+        # The writer refuses a list of clips exactly when the reader refuses
+        # the document of them as plain dicts.
+        cfg = BenchConfig(anticipation_s=ta)
+        plain = oracle_dump(plain_eval_clips_doc(clips, cfg))
+        try:
+            written = file_text(write_eval_clips, clips, cfg)
+        except (TypeError, ValueError):
+            written = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "clips.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(plain)
+            if written is None:
+                with pytest.raises(FileFormatError):
+                    read_eval_clips(path)
+            else:
+                assert written == plain
+                read_eval_clips(path)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(PREDICTIONS, max_size=8))
@@ -807,9 +964,11 @@ class TestWriterBytes:
         assert file_text(write_predictions, predictions) == text
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(ASSIGNMENTS, max_size=6), st.sampled_from(list(HeadVariant)))
-    @example(pairs=[], variant=HeadVariant.Q_BCE)
-    def test_targets(self, pairs, variant):
+    @given(ASSIGNMENTS)
+    @example(drawn=(HeadVariant.Q_BCE, []))
+    def test_targets(self, drawn):
+        # The plain document holds each slot's values as the loss-check reader would.
+        variant, pairs = drawn
         text = file_text(write_targets, pairs, CFG, variant)
         assert text == oracle_dump(plain_targets_doc(pairs, CFG, variant))
         assert file_text(write_targets, pairs, CFG, variant) == text
@@ -1292,7 +1451,7 @@ class TestSchemas:
 
     def test_targets_doc_validates(self, schema_registry, eval_clips):
         validator = validator_for("targets", schema_registry)
-        for variant in (HeadVariant.Q_ACT, HeadVariant.Q_EOS, HeadVariant.Q_BCE):
+        for variant in (v for v in HeadVariant if not HEADS[v].needs_outputs):
             pairs = [
                 (c.clip_id, assign_for_variant(variant, c.gt_actions, CFG))
                 for c in eval_clips[:6]
@@ -1328,6 +1487,27 @@ class TestSchemas:
         assert not validator.is_valid(doc)
         with pytest.raises(AnnotationError):
             parse_annotations_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("half", 3), ("anticipation_start_ms", -5000), ("game_id", "")],
+    )
+    def test_eval_clips_reader_rejects_what_the_schema_rejects(
+        self, schema_registry, tmp_path, field, value
+    ):
+        validator = validator_for("eval-clips", schema_registry)
+        path = tmp_path / "clips.json"
+        good = EvalClip("g", 1, 5000, 10000, False, (GtAction(ActionClass.PASS, 10),))
+        doc = plain_eval_clips_doc([good], CFG)
+        validator.validate(doc)
+        path.write_text(oracle_dump(doc))
+        read_eval_clips(path)
+        # The clip id and context span of the plain document follow the changed field.
+        doc = plain_eval_clips_doc([good._replace(**{field: value})], CFG)
+        assert not validator.is_valid(doc)
+        path.write_text(oracle_dump(doc))
+        with pytest.raises(FileFormatError, match=f"clip #0: {field} must"):
+            read_eval_clips(path)
 
     @pytest.mark.parametrize("over", [0, 1], ids=["2h", "2h+1ms"])
     @pytest.mark.parametrize("where", ["duration", "position"])
