@@ -730,6 +730,9 @@ class TestTargetsFile:
             (1, 0, 0, 1, 0, 0, 0, 0, 0, 0),  # not one-hot
             (0,) * 10,
         ],
+        # hot2 was a boolean vector, which the writer now refuses: see
+        # test_writer_refuses_fields_of_other_kinds[bool-multihot].
+        ids=["hot0", "hot1", "hot3", "hot4"],
     )
     def test_multihot_text_is_shared_only_by_identity(self, hot):
         # The text of each ONE_HOT vector is encoded once and found by
