@@ -17,6 +17,10 @@ is milliseconds from the half start (string or integer) and is authoritative
 for the timestamp; ``gameTime`` is authoritative for the half and must agree
 with ``position`` to within a second. Labels outside the recognized class set
 are a hard error: silently skipping records would corrupt benchmark results.
+
+:func:`write_annotations` writes the bytes of ``json.dumps(serialize_annotations(game),
+indent=2)`` plus a newline, one action record at a time, and refuses a game
+that the reader would refuse or read back as another game.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .config import MAX_HALF_MS, NUM_CLASSES
-from .jsonio import FileFormatError, brief, exact, read_json, write_text
+from .jsonio import FileFormatError, brief, exact, read_json, write_frame
 
 SPLITS = ("train", "valid", "test", "challenge")
 
@@ -199,16 +203,44 @@ def _parse_record(record: object, game_id: str, durations: Mapping[int, int]) ->
             )
     else:
         time_ms = gametime_ms
-    duration = durations.get(half)
-    if duration is not None and time_ms > duration:
+    _check_time(half, time_ms, durations)
+    return ActionInstance(game_id, half, time_ms, label)
+
+
+# The checks that the reader applies to what it has parsed and the writer to
+# what it writes, so that whatever is written reads back.  Their type errors
+# are TypeErrors from ``exact``; each caller makes them AnnotationErrors.
+
+
+def _check_game_id(value: object) -> None:
+    if not exact(value, str, "gameId"):
+        raise AnnotationError(f"gameId must be a non-empty string, got {brief(value)}")
+
+
+def _checked_duration(value: object) -> int:
+    if exact(value, int, "half duration") < 0:
+        raise AnnotationError(f"half duration must be non-negative, got {brief(value)}")
+    if value > MAX_HALF_MS:
         raise AnnotationError(
-            f"time {brief(time_ms)} ms exceeds half {half} duration {brief(duration)} ms"
+            f"half duration must be at most {MAX_HALF_MS} ms, got {brief(value)}"
         )
-    if time_ms > MAX_HALF_MS:
+    return value
+
+
+def _check_time(half: int, time_ms: int, durations: Mapping[int, int]) -> None:
+    """Refuse an action past its half's declared duration, or past :data:`MAX_HALF_MS`.
+
+    A declared duration is at most ``MAX_HALF_MS`` (:func:`_checked_duration`).
+    """
+    if time_ms > durations.get(half, MAX_HALF_MS):
+        if half in durations:
+            duration = durations[half]
+            raise AnnotationError(
+                f"time {brief(time_ms)} ms exceeds half {half} duration {brief(duration)} ms"
+            )
         raise AnnotationError(
             f"time {brief(time_ms)} ms exceeds the longest half, {MAX_HALF_MS} ms"
         )
-    return ActionInstance(half=half, time_ms=time_ms, label=label, game_id=game_id)
 
 
 def _parse_durations(raw: object) -> dict[int, int]:
@@ -218,13 +250,7 @@ def _parse_durations(raw: object) -> dict[int, int]:
     for key, value in raw.items():
         if key not in ("1", "2"):
             raise AnnotationError(f"half key must be \"1\" or \"2\", got {brief(key)}")
-        if exact(value, int, "half duration") < 0:
-            raise AnnotationError(f"half duration must be non-negative, got {brief(value)}")
-        if value > MAX_HALF_MS:
-            raise AnnotationError(
-                f"half duration must be at most {MAX_HALF_MS} ms, got {brief(value)}"
-            )
-        durations[int(key)] = value
+        durations[int(key)] = _checked_duration(value)
     return durations
 
 
@@ -237,8 +263,7 @@ def parse_annotations_dict(doc: object, *, default_game_id: str = "game") -> Gam
         durations = _parse_durations(doc["halfDurationsMs"]) if "halfDurationsMs" in doc else {}
     except TypeError as exc:
         raise AnnotationError(str(exc)) from None
-    if not game_id:
-        raise AnnotationError(f"gameId must be a non-empty string, got {brief(game_id)}")
+    _check_game_id(game_id)
     split = doc.get("split", "test")
     records = doc.get("annotations")
     if not isinstance(records, list):
@@ -288,12 +313,12 @@ def load_corpus(paths: Iterable[str | Path]) -> list[GameAnnotations]:
 
 
 def serialize_annotations(game: GameAnnotations) -> dict:
-    """Inverse of :func:`parse_annotations_dict`; round-trips the corpus exactly."""
-    doc: dict = {"gameId": game.game_id, "split": game.split}
-    if game.half_durations_ms:
-        doc["halfDurationsMs"] = {
-            str(h): game.half_durations_ms[h] for h in sorted(game.half_durations_ms)
-        }
+    """Inverse of :func:`parse_annotations_dict` for every game :func:`write_annotations` accepts.
+
+    The file :func:`write_annotations` writes is this document's
+    ``json.dumps(..., indent=2)`` text plus a newline.
+    """
+    doc = _head(game)
     doc["annotations"] = [
         {
             "gameTime": format_game_time(a.half, a.time_ms),
@@ -305,14 +330,75 @@ def serialize_annotations(game: GameAnnotations) -> dict:
     return doc
 
 
+#: ``"<half> - MM:SS.mmm"``, filled with the half, minutes, seconds and milliseconds.
+_GAME_TIME = "%d - %02d:%02d.%03d"
+#: An action record's text at depth 2 of the file (document, list, record), in
+#: the key order of :func:`serialize_annotations`, filled with the game time's
+#: four numbers, the position and the label's JSON text.
+_ACTION = (
+    '{\n      "gameTime": "' + _GAME_TIME + '",\n      "position": %d,\n      "label": %s\n    }'
+)
+#: The JSON text of each label.
+LABEL_TEXT: Mapping[ActionClass, str] = {
+    c: json.encoder.encode_basestring_ascii(c.value) for c in ActionClass
+}
+
+
 def format_game_time(half: int, time_ms: int) -> str:
     minutes, rem = divmod(time_ms, 60_000)
     seconds, ms = divmod(rem, 1000)
-    return f"{half} - {minutes:02d}:{seconds:02d}.{ms:03d}"
+    return _GAME_TIME % (half, minutes, seconds, ms)
+
+
+def _head(game: GameAnnotations) -> dict:
+    """The document of ``game`` up to its actions, in file key order."""
+    doc: dict = {"gameId": game.game_id, "split": game.split}
+    if game.half_durations_ms:
+        doc["halfDurationsMs"] = {
+            str(h): game.half_durations_ms[h] for h in sorted(game.half_durations_ms)
+        }
+    return doc
+
+
+def _action_texts(game: GameAnnotations) -> Iterator[str]:
+    """The text of each action of ``game``, if the reader takes it back as that action."""
+    game_id, durations = game.game_id, game.half_durations_ms
+    for i, (action_game, half, time_ms, label) in enumerate(game.actions):
+        try:
+            if action_game != game_id:
+                raise AnnotationError(
+                    f"game_id {brief(action_game)} is not the game's, {brief(game_id)}"
+                )
+            # An ActionInstance holds a half equal to 1 or 2 and a time >= 0,
+            # but True equals 1 and 1000.5 is past 0.
+            exact(half, int, "half")
+            exact(time_ms, int, "time_ms")
+            if type(label) is not ActionClass:
+                raise TypeError(f"label must be an ActionClass, got {brief(label)}")
+            _check_time(half, time_ms, durations)
+        except (TypeError, ValueError) as exc:
+            raise AnnotationError(f"annotation #{i}: {exc}") from None
+        minutes, rem = divmod(time_ms, 60_000)
+        seconds, ms = divmod(rem, 1000)
+        yield _ACTION % (half, minutes, seconds, ms, time_ms, LABEL_TEXT[label])
 
 
 def write_annotations(game: GameAnnotations, path: str | Path) -> None:
-    write_text(path, json.dumps(serialize_annotations(game), indent=2) + "\n")
+    """Write ``game`` as ``json.dumps(serialize_annotations(game), indent=2)`` plus a newline.
+
+    A game the reader would refuse, or read back as another game, is one
+    AnnotationError naming the field, and ``path`` keeps its bytes.
+    """
+    try:
+        _check_game_id(game.game_id)
+        for half, duration in game.half_durations_ms.items():
+            if type(half) is not int or half not in (1, 2):
+                raise AnnotationError(f"half key must be 1 or 2, got {brief(half)}")
+            _checked_duration(duration)
+    except TypeError as exc:
+        raise AnnotationError(str(exc)) from None
+    frame = json.dumps({**_head(game), "annotations": []}, indent=2) + "\n"
+    write_frame(path, frame, "annotations", _action_texts(game))
 
 
 def filter_classes(game: GameAnnotations) -> GameAnnotations:

@@ -53,9 +53,9 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .annotations import ActionClass, parse_label
+from .annotations import LABEL_TEXT, ActionClass, parse_label
 from .config import BenchConfig
-from .jsonio import FileFormatError, brief, exact, number, output, read_json, write_text
+from .jsonio import FileFormatError, brief, exact, number, read_json, write_frame, write_text
 from .losses import SlotOutput
 from .metrics import EvalReport, Prediction
 from .targets import BLANK, HEADS, ONE_HOT, UNCONSTRAINED, Assignment, HeadVariant, SlotTarget
@@ -70,9 +70,8 @@ VERSION = 1
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-#: The JSON text of each boolean and of each label.
+#: The JSON text of each boolean.
 _BOOL_TEXT = {False: "false", True: "true"}
-_LABEL_TEXT = {label: _encode_str(label.value) for label in ActionClass}
 
 
 def _template(keys: tuple, depth: int) -> str:
@@ -108,25 +107,8 @@ def write_json(path: str | Path, doc: Any) -> None:
 
 
 def _write_frame(path: str | Path, head: dict, key: str, texts: Iterable[str]) -> None:
-    """Write :func:`dump_json`'s text of ``head`` plus ``key``, a list whose items have ``texts``.
-
-    Each text is laid out at depth 2 (document, list, item) and written as it
-    comes, so neither the record list nor the file's text is held at once.
-    The frame around the list is ``dump_json``'s text with ``key`` empty: a
-    top-level key is the only one indented by exactly two spaces, and the
-    stdlib escapes every newline in a string, so the cut is unique.
-    """
-    frame = dump_json({**head, key: []})
-    opening = "\n  " + _encode_str(key) + ": ["
-    at = frame.index(opening + "]") + len(opening)
-    with output(path) as out:
-        out.write(frame[:at])
-        sep = "\n    "
-        for text in texts:
-            out.write(sep + text)
-            sep = ",\n    "
-        # A list with items closes on a line of its own; an empty one is "[]".
-        out.write(frame[at:] if sep == "\n    " else "\n  " + frame[at:])
+    """Write :func:`dump_json`'s text of ``head`` plus ``key``, a list with ``texts`` as items."""
+    write_frame(path, dump_json({**head, key: []}), key, texts)
 
 
 def _objects(value: Any, name: str) -> list:
@@ -285,7 +267,7 @@ def _checked_clip(clip: EvalClip, ta_ms: int) -> EvalClip:
 
 def _eval_clip_text(clip: EvalClip) -> str:
     game_id, half, start, end, partial, actions = clip
-    texts = [_GT_ACTION % (_LABEL_TEXT[label], offset_ms) for label, offset_ms in actions]
+    texts = [_GT_ACTION % (LABEL_TEXT[label], offset_ms) for label, offset_ms in actions]
     return _EVAL_CLIP % (
         end,
         start,
@@ -351,7 +333,7 @@ def _clip_predictions_text(clip_id: str, predictions: Iterable[Prediction]) -> s
     """
     id_text = _encode_str(clip_id)
     texts = [
-        _PREDICTION % (id_text, confidence, _LABEL_TEXT[label], time_s)
+        _PREDICTION % (id_text, confidence, LABEL_TEXT[label], time_s)
         for _, label, time_s, confidence, _ in sorted(predictions, key=_in_clip_order)
     ]
     return ",\n    ".join(texts)

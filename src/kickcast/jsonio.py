@@ -4,7 +4,8 @@ Error messages quote document values through :func:`brief`, which cuts a long
 repr, so one huge value cannot make a huge error line.
 
 Every kickcast input is read here and every output written through
-:func:`output`; this module imports nothing from kickcast.
+:func:`output`, a record file's list one record text at a time by
+:func:`write_frame`; this module imports nothing from kickcast.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import shutil
 import stat
 import tempfile
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 
 class FileFormatError(ValueError):
@@ -90,6 +91,28 @@ def write_text(path: str | Path, text: str) -> None:
     """Write an output file through :func:`output`."""
     with output(path) as out:
         out.write(text)
+
+
+def write_frame(path: str | Path, frame: str, key: str, texts: Iterable[str]) -> None:
+    """Write ``frame`` through :func:`output` with ``texts`` as the items of its list ``key``.
+
+    ``frame`` is the stdlib's ``indent=2`` text of an object whose ``key`` is
+    ``[]``.  Each text is laid out at depth 2 (document, list, item) and
+    written as it comes, so neither the record list nor the file's text is
+    held at once.  A top-level key is the only one indented by exactly two
+    spaces, and the stdlib escapes every newline in a string, so the cut at
+    the empty list is unique.
+    """
+    opening = "\n  " + json.encoder.encode_basestring_ascii(key) + ": ["
+    at = frame.index(opening + "]") + len(opening)
+    with output(path) as out:
+        out.write(frame[:at])
+        sep = "\n    "
+        for text in texts:
+            out.write(sep + text)
+            sep = ",\n    "
+        # A list with items closes on a line of its own; an empty one is "[]".
+        out.write(frame[at:] if sep == "\n    " else "\n  " + frame[at:])
 
 
 #: Longest repr of a document value that an error message quotes.

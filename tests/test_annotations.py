@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -28,7 +33,10 @@ from kickcast.annotations import (
     stats_from_counts,
     write_annotations,
 )
+from kickcast.config import MAX_HALF_MS
 from kickcast.jsonio import FileFormatError
+
+from conftest import REPO_ROOT
 
 
 def make_doc(annotations, *, game_id="g", split="train", durations=None):
@@ -280,6 +288,135 @@ class TestCanonicalization:
             out = tmp_path / path.name
             write_annotations(game, out)
             assert out.read_bytes() == path.read_bytes()
+
+    def test_fixture_generator_reproduces_the_fixtures(self, tmp_path, fixture_paths):
+        # The script checks the corpus and each file's round trip itself; this
+        # catches a writer or build_game change that alters regenerated bytes.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+        )
+        script = REPO_ROOT / "tools" / "gen_fixtures.py"
+        argv = [sys.executable, str(script), "--out-dir", str(tmp_path)]
+        subprocess.run(argv, env=env, cwd=REPO_ROOT, check=True, timeout=120, capture_output=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in fixture_paths]
+        for path in fixture_paths:
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def _game(*actions, game_id="g", durations=None):
+    """A game of ``(half, time_ms, label[, game_id])`` actions, checked only by construction."""
+    return GameAnnotations(
+        game_id=game_id,
+        split="test",
+        half_durations_ms={} if durations is None else durations,
+        actions=tuple(
+            ActionInstance(game_id if len(a) == 3 else a[3], a[0], a[1], a[2]) for a in actions
+        ),
+    )
+
+
+PASS = ActionClass.PASS
+
+
+class TestWriter:
+    """write_annotations holds a game to its reader's rules and to the output contract."""
+
+    @pytest.mark.parametrize(
+        "game, error",
+        [
+            (_game(game_id=""), "gameId must be a non-empty string, got ''"),
+            (_game(game_id=7), "gameId must be a string, got 7"),
+            (_game(durations={3: 5000}), "half key must be 1 or 2, got 3"),
+            (_game(durations={1: -5}), "half duration must be non-negative, got -5"),
+            (
+                _game(durations={2: 8_000_000}),
+                f"half duration must be at most {MAX_HALF_MS} ms, got 8000000",
+            ),
+            (
+                _game((1, 5001, PASS), durations={1: 5000}),
+                "annotation #0: time 5001 ms exceeds half 1 duration 5000 ms",
+            ),
+            (
+                _game((2, MAX_HALF_MS + 1, PASS)),
+                f"annotation #0: time {MAX_HALF_MS + 1} ms exceeds the longest half, "
+                f"{MAX_HALF_MS} ms",
+            ),
+            (_game((True, 1000, PASS)), "annotation #0: half must be an integer, got True"),
+            (
+                _game((1, 1000, PASS), (1, 2000, PASS, "other")),
+                "annotation #1: game_id 'other' is not the game's, 'g'",
+            ),
+            (_game((1, 1000.5, PASS)), "annotation #0: time_ms must be an integer, got 1000.5"),
+            (_game((1, 1000, "Pass")), "annotation #0: label must be an ActionClass, got 'Pass'"),
+        ],
+        ids=[
+            "empty-id", "int-id", "half-key-3", "negative-duration", "long-duration",
+            "past-duration", "past-longest-half", "bool-half", "other-game-id", "float-time",
+            "str-label",
+        ],
+    )
+    def test_refuses_what_the_reader_refuses(self, tmp_path, game, error):
+        path = tmp_path / "game.json"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(AnnotationError) as info:
+            write_annotations(game, path)
+        assert str(info.value) == error
+        assert path.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "game",
+        [
+            _game(game_id=""),
+            _game(durations={1: -5}),
+            _game(durations={2: 8_000_000}),
+            _game((1, 5001, PASS), durations={1: 5000}),
+            _game((2, MAX_HALF_MS + 1, PASS)),
+        ],
+        ids=[
+            "empty-id", "negative-duration", "long-duration", "past-duration", "past-longest-half",
+        ],
+    )
+    def test_writer_and_reader_give_one_message(self, tmp_path, game):
+        with pytest.raises(AnnotationError) as written:
+            write_annotations(game, tmp_path / "game.json")
+        with pytest.raises(AnnotationError) as read:
+            parse_annotations_dict(serialize_annotations(game))
+        assert str(read.value) == str(written.value)
+
+    def test_overwriting_gives_the_same_bytes(self, tmp_path, raw_corpus):
+        path = tmp_path / "game.json"
+        path.write_text("old bytes that are longer than nothing\n" * 4)
+        write_annotations(raw_corpus[0], path)
+        first = path.read_bytes()
+        write_annotations(raw_corpus[0], path)
+        assert path.read_bytes() == first
+        oracle = json.dumps(serialize_annotations(raw_corpus[0]), indent=2) + "\n"
+        assert first == oracle.encode()
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_fifo_gets_the_bytes_of_a_file(self, tmp_path, raw_corpus):
+        regular, fifo = tmp_path / "game.json", tmp_path / "game.fifo"
+        write_annotations(raw_corpus[0], regular)  # larger than a pipe's buffer
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as f:
+                received.append(f.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        write_annotations(raw_corpus[0], fifo)
+        reader.join(timeout=10)
+        if reader.is_alive():  # the writer never opened the FIFO: release the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [regular.read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == [fifo, regular]
 
 
 class TestFilterClasses:

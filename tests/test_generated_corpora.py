@@ -1,4 +1,4 @@
-"""Eval clips and targets of generated corpora read back as written.
+"""Annotation files, eval clips and targets of generated corpora read back as written.
 
 Corpora hold one to three games whose ids contain ``:`` or are prefixes of one
 another (``a``, ``a0``, ``a:1``), halves of declared or inferred length, and
@@ -14,6 +14,14 @@ mutation of the library:
   span, which the writer refuses.
 * ``test_targets_read_back_through_the_loss_check_reader`` fails when
   ``fileio._slot_text`` writes ``gt_index`` in the place of ``class_index``.
+
+Generated games (:func:`annotation_games`) hold no actions or many, declare no
+half, one or both, and have ids with non-ASCII characters, ``"``, ``\\``,
+``%`` and ``/``.  ``test_annotation_files_are_the_stdlib_dump_and_read_back``
+fails when ``annotations._ACTION`` lists a record's keys in sorted order, when
+``jsonio.write_frame`` closes an empty list on a line of its own, when
+``write_annotations`` dumps its head with ``ensure_ascii=False``, and when
+``annotations._check_time`` refuses an action on its half's declared duration.
 """
 
 from __future__ import annotations
@@ -26,8 +34,17 @@ from operator import itemgetter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kickcast.annotations import RETAINED_CLASSES, ActionInstance, GameAnnotations
-from kickcast.config import BenchConfig
+from kickcast.annotations import (
+    RETAINED_CLASSES,
+    SPLITS,
+    ActionClass,
+    ActionInstance,
+    GameAnnotations,
+    parse_annotations,
+    serialize_annotations,
+    write_annotations,
+)
+from kickcast.config import MAX_HALF_MS, BenchConfig
 from kickcast.fileio import (
     dump_json,
     read_eval_clips,
@@ -122,3 +139,49 @@ def test_targets_read_back_through_the_loss_check_reader(drawn):
                 assert [list(map(type, s)) for s in got.slots] == [
                     list(map(type, s)) for s in assignment.slots
                 ]
+
+
+#: Game id characters the writer must escape as the stdlib does: non-ASCII
+#: (one outside the BMP), the quote, the backslash, a newline; and ``%`` and
+#: ``/``, which a template or a path could mistake.
+ID_CHARS = 'a0:%/"\\\né中\U0001f600'
+#: Times a game time must spell right: 99:59.999, and 100 and 120 minutes.
+LONG_TIMES = [5_999_999, 6_000_000, MAX_HALF_MS]
+
+
+@st.composite
+def annotation_games(draw):
+    """A game with zero, one or two declared halves, and actions of every class.
+
+    Actions fall at 0 ms, on the declared duration, at the long times or
+    anywhere in the half, and up to three share one instant with any labels.
+    """
+    ids = st.text(st.sampled_from(ID_CHARS), min_size=1, max_size=8) | st.text(min_size=1)
+    game_id = draw(ids)
+    declared = draw(st.sampled_from([(), (1,), (2,), (1, 2)]))
+    lengths = st.sampled_from([0, 1, *LONG_TIMES]) | st.integers(0, MAX_HALF_MS)
+    durations = {half: draw(lengths) for half in declared}
+    actions = []
+    for half in (1, 2):
+        last = durations.get(half, MAX_HALF_MS)
+        edges = [t for t in [0, last, *LONG_TIMES] if t <= last]
+        for time_ms in draw(st.lists(st.sampled_from(edges) | st.integers(0, last), max_size=5)):
+            labels = draw(st.lists(st.sampled_from(list(ActionClass)), min_size=1, max_size=3))
+            actions.extend(ActionInstance(game_id, half, time_ms, label) for label in labels)
+    actions.sort(key=lambda a: a.sort_key)
+    return GameAnnotations(game_id, draw(st.sampled_from(SPLITS)), durations, tuple(actions))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(annotation_games())
+def test_annotation_files_are_the_stdlib_dump_and_read_back(game):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+        write_annotations(game, first)
+        read = parse_annotations(first)
+        write_annotations(read, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            written, rewritten = a.read(), b.read()
+    assert written == (json.dumps(serialize_annotations(game), indent=2) + "\n").encode()
+    assert read == game
+    assert rewritten == written
