@@ -15,9 +15,14 @@ Predictions are written one clip at a time, a clip's records in one text.
 
 Every record list is read through :func:`_read_records`, its fields with the
 value rules of :mod:`kickcast.jsonio`: a bad record is one FileFormatError
-naming it.  Writers hold each field to the same rules, so what they write reads
-back: an eval clip by :func:`_checked_clip`, which its reader applies too, a
-slot by the loss-check slot reader's kinds, a prediction by its constructor.
+naming it.  Prediction records are built inside the JSON parser: its object
+hook (:func:`_prediction_hook`) turns each well-formed record into its
+Prediction as the parser closes it, so the document's dicts are never all
+held at once, and leaves every other object a dict for the checked path
+(:func:`_prediction`) and its errors.  Writers hold each field to the same
+rules, so what they write reads back: an eval clip by :func:`_checked_clip`,
+which its reader applies too, a slot by the loss-check slot reader's kinds and
+the targets schema's ranges, a prediction by its constructor.
 
 Formats (all version 1):
 
@@ -53,8 +58,8 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .annotations import LABEL_TEXT, ActionClass, parse_label
-from .config import BenchConfig
+from .annotations import LABEL_TEXT, ActionClass, AnnotationError, parse_label
+from .config import NUM_CLASSES, BenchConfig
 from .jsonio import FileFormatError, brief, exact, number, read_json, write_frame, write_text
 from .losses import SlotOutput
 from .metrics import EvalReport, Prediction
@@ -119,10 +124,12 @@ def _objects(value: Any, name: str) -> list:
     return value
 
 
-def _load(path: str | Path, expected_format: str) -> dict:
-    doc = read_json(path)
+def _load(path: str | Path, expected_format: str, object_hook: Callable | None = None) -> dict:
+    doc = read_json(path, object_hook)
     if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: expected a JSON object at top level")
+        if isinstance(doc, (list, str, int, float)) or doc is None:
+            raise FileFormatError(f"{path}: expected a JSON object at top level")
+        doc = {}  # a record that ``object_hook`` built of the top-level object: it has no format
     fmt = doc.get("format")
     if fmt != expected_format:
         raise FileFormatError(f"{path}: format {brief(fmt)}, expected {expected_format!r}")
@@ -140,21 +147,25 @@ def _list(doc: dict, key: str, path: str | Path) -> list | None:
     return value
 
 
-def _read_records(doc: dict, key: str, path: str | Path, what: str, read: Callable) -> list:
-    """``read`` of each object in ``doc[key]``; its errors become one FileFormatError."""
-    records: list = []
-    items = _list(doc, key, path) or ()
+def _read_records(
+    doc: dict, key: str, path: str | Path, what: str, read: Callable, built: type | None = None
+) -> list:
+    """``doc[key]``, each object replaced by ``read`` of it; its errors become one FileFormatError.
+
+    An item of type ``built``, a record that the parser's object hook built
+    already, is kept as it is.  The document's list becomes the record list.
+    """
+    records = _list(doc, key, path) or []
     try:
-        for rec in items:
-            if not isinstance(rec, dict):
-                raise TypeError("must be an object")
-            records.append(read(rec))
+        for i, rec in enumerate(records):
+            if type(rec) is not built:
+                if not isinstance(rec, dict):
+                    raise TypeError("must be an object")
+                records[i] = read(rec)
     except KeyError as exc:
-        raise FileFormatError(
-            f"{path}: {what} #{len(records)}: missing field {exc.args[0]!r}"
-        ) from exc
+        raise FileFormatError(f"{path}: {what} #{i}: missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: {what} #{len(records)}: {exc}") from exc
+        raise FileFormatError(f"{path}: {what} #{i}: {exc}") from exc
     return records
 
 
@@ -348,28 +359,59 @@ def write_predictions(path: str | Path, predictions: Iterable[Prediction]) -> No
     _write_frame(path, head, "predictions", (_clip_predictions_text(*group) for group in by_clip))
 
 
+def _prediction_hook() -> Callable[[dict], Prediction | dict]:
+    """An object hook that builds each well-formed prediction record as the parser closes it.
+
+    A well-formed record has exactly the four keys, a str clip id, a str label
+    that :func:`parse_label` knows, and float time and confidence in the
+    reader's ranges: it is built without Prediction's second check, its dict
+    freed at once, and every record of one clip holds the id string of this
+    call's table.  Any other object is returned as it is, for
+    :func:`_prediction` to read or refuse.  The hook never raises.
+
+    The hook cannot tell where an object sits, so a well-formed record nested
+    inside another value is built too: an error that quotes that value (a
+    record's ``clip_id`` given as such an object, say) shows the Prediction.
+    """
+    ids: dict[str, str] = {}
+
+    def build(rec: dict) -> Prediction | dict:
+        if len(rec) != 4:
+            return rec
+        time_s, confidence = rec.get("time_s"), rec.get("confidence")
+        clip_id, label = rec.get("clip_id"), rec.get("label")
+        if not (
+            type(time_s) is float
+            and type(confidence) is float
+            and type(label) is str
+            and type(clip_id) is str
+            and 0.0 <= time_s < math.inf
+            and 0.0 <= confidence <= 1.0
+        ):
+            return rec
+        try:
+            action = parse_label(label)
+        except AnnotationError:
+            return rec
+        return tuple.__new__(
+            Prediction, (ids.setdefault(clip_id, clip_id), action, time_s, confidence, False)
+        )
+
+    return build
+
+
 def _prediction(rec: dict) -> Prediction:
+    """A record that :func:`_prediction_hook` left as a dict, by the checked path."""
+    # A missing number field or label is reported before any wrong value.
     time_s, confidence, label = rec["time_s"], rec["confidence"], rec["label"]
-    clip_id = rec.get("clip_id")  # a missing one is reported after the number fields
-    # One inline test passes a well-formed record, which is then built without
-    # Prediction's second check; any other takes the checked path and its errors.
-    if (
-        type(time_s) is float
-        and type(confidence) is float
-        and type(label) is str
-        and type(clip_id) is str
-        and 0.0 <= time_s < math.inf
-        and 0.0 <= confidence <= 1.0
-    ):
-        return tuple.__new__(Prediction, (clip_id, parse_label(label), time_s, confidence, False))
     time_s, confidence = number(time_s, "time_s"), number(confidence, "confidence")
     exact(label, str, "label")
     return Prediction(exact(rec["clip_id"], str, "clip_id"), parse_label(label), time_s, confidence)
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:
-    doc = _load(path, FORMAT_PREDICTIONS)
-    return _read_records(doc, "predictions", path, "prediction", _prediction)
+    doc = _load(path, FORMAT_PREDICTIONS, _prediction_hook())
+    return _read_records(doc, "predictions", path, "prediction", _prediction, Prediction)
 
 
 # --- targets ----------------------------------------------------------------
@@ -380,33 +422,51 @@ _TARGET_CLIP = _template(("clip_id", "slots", "truncated"), 2)
 _SLOT = _template(("actionness", "class_index", "class_multihot", "gt_index", "time"), 4)
 
 
-def _number_text(value: float | None, name: str) -> str:
-    """The text of a slot's ``actionness`` or ``time``: a finite number, as a float, or null."""
+def _number_text(value: float | None, name: str, closed: bool) -> str:
+    """The text of a slot's ``actionness`` or ``time``: a number in [0, 1], as a float, or null.
+
+    1 is in the range only if it is ``closed``.
+    """
     if value is None:
         return "null"
     if not math.isfinite(value := number(value, name)):
         raise ValueError(f"{name} {value!r}: out of range float values are not JSON compliant")
+    if not (0.0 <= value < 1.0 or (closed and value == 1.0)):
+        raise ValueError(f"{name} {value!r} outside [0, 1{']' if closed else ')'}")
     return repr(value)
 
 
+def _index_text(value: int | None, name: str, top: float) -> str:
+    """The text of a slot's ``gt_index`` or ``class_index``: an integer in [0, ``top``], or null."""
+    if value is None:
+        return "null"
+    if not 0 <= exact(value, int, name) <= top:
+        raise ValueError(f"{name} {value} outside [0, {top}]")
+    return "%d" % value
+
+
 def _multihot_text(hot: tuple | list | None) -> str:
-    """The text of a slot's ``class_multihot``: a list of integers, or null."""
+    """The text of a slot's ``class_multihot``: a list of 0s and 1s, or null."""
     if hot is None:
         return "null"
     if not isinstance(hot, (list, tuple)):
         raise TypeError(f"class_multihot must be a list, got {brief(hot)}")
-    return _join(["%d" % exact(v, int, "class_multihot") for v in hot], 5)
+    for v in hot:
+        if exact(v, int, "class_multihot") not in (0, 1):
+            raise ValueError(f"class_multihot entry {v} is not 0 or 1")
+    return _join(["%d" % v for v in hot], 5)
 
 
 def _slot_text(slot: SlotTarget) -> str:
-    """A slot's text, each field held to the kinds the loss-check slot reader takes."""
+    """A slot's text, each field held to the kinds the loss-check slot reader takes
+    and to the ranges of the targets schema (class indices up to the sentinel C)."""
     gt_index, actionness, class_index, hot, time = slot
     return _SLOT % (
-        _number_text(actionness, "actionness"),
-        "null" if class_index is None else "%d" % exact(class_index, int, "class_index"),
+        _number_text(actionness, "actionness", closed=True),
+        _index_text(class_index, "class_index", NUM_CLASSES),
         hit[1] if (hit := _SHARED.get(id(hot))) else _multihot_text(hot),
-        "null" if gt_index is None else "%d" % exact(gt_index, int, "gt_index"),
-        _number_text(time, "time"),
+        _index_text(gt_index, "gt_index", math.inf),
+        _number_text(time, "time", closed=False),
     )
 
 
@@ -431,7 +491,9 @@ def _target_clip_text(clip_id: str, assignment: Assignment, variant: HeadVariant
         raise ValueError(f"clip {brief(clip_id)}: {assignment.variant} targets in a {variant} file")
     slots = [hit[1] if (hit := _SHARED.get(id(s))) else _slot_text(s) for s in assignment.slots]
     truncated = _BOOL_TEXT[exact(assignment.truncated, bool, "truncated")]
-    return _TARGET_CLIP % (_encode_str(exact(clip_id, str, "clip_id")), _join(slots, 3), truncated)
+    if not exact(clip_id, str, "clip_id"):
+        raise ValueError("clip_id must not be empty")
+    return _TARGET_CLIP % (_encode_str(clip_id), _join(slots, 3), truncated)
 
 
 def write_targets(

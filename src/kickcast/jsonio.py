@@ -17,17 +17,23 @@ import shutil
 import stat
 import tempfile
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 
 class FileFormatError(ValueError):
     """Raised when a document does not follow its declared format."""
 
 
-def read_json(path: str | Path) -> Any:
-    """The JSON value in ``path``; a file that cannot be read or decoded is a FileFormatError."""
+def read_json(path: str | Path, object_hook: Callable[[dict], Any] | None = None) -> Any:
+    """The JSON value in ``path``; a file that cannot be read or decoded is a FileFormatError.
+
+    ``object_hook``, as in :func:`json.loads`, is given each object as the
+    parser closes it and returns the value that takes its place.  It must not
+    raise: its ValueError would be reported as invalid JSON, and any other
+    error would escape as it is.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=object_hook)
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:  # a ValueError, so caught first

@@ -296,11 +296,11 @@ def _pairs(
                 pairs.append((b, k))
         return pairs
     if spec.pairing is Pairing.HUNGARIAN_TIME:
+        # Each slot's time and each action's offset decoded once, not per cell.
         ta_s = cfg.anticipation_s
-        cost = [
-            [abs(decode_time(out.time_raw, ta_s) - g.offset_s) / ta_s for g in gt]
-            for out in outputs
-        ]
+        offsets = [g.offset_s for g in gt]
+        times = [decode_time(out.time_raw, ta_s) for out in outputs]
+        cost = [[abs(t - offset) / ta_s for offset in offsets] for t in times]
     else:
         cost = [[1.0 - out.class_probs[_class_idx(g)] for g in gt] for out in outputs]
     return hungarian(cost)

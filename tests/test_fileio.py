@@ -659,6 +659,30 @@ class TestPredictionsFile:
             self.read_one(tmp_path, record)
         assert str(info.value) == f"{tmp_path / 'preds.json'}: prediction #1: {error}"
 
+    def test_unknown_label_with_valid_numbers_rejected(self, tmp_path):
+        record = '{"clip_id": "c", "label": "Nope", "time_s": 1.0, "confidence": 0.5}'
+        with pytest.raises(FileFormatError) as info:
+            self.read_one(tmp_path, record)
+        assert str(info.value) == f"{tmp_path / 'preds.json'}: prediction #1: unknown label 'Nope'"
+
+    def test_top_level_record_is_an_object_without_format(self, tmp_path):
+        # A top-level object is reported by its format, even when it has
+        # exactly the keys and values of a well-formed record.
+        path = tmp_path / "preds.json"
+        path.write_text('{"clip_id": "c", "label": "Pass", "time_s": 1.0, "confidence": 0.5}')
+        with pytest.raises(FileFormatError) as info:
+            read_predictions(path)
+        assert str(info.value) == f"{path}: format None, expected 'kickcast-predictions'"
+
+    def test_predictions_of_a_clip_share_one_id(self, tmp_path, some_predictions):
+        path = tmp_path / "preds.json"
+        write_predictions(path, some_predictions)
+        loaded = read_predictions(path)
+        ids = {}
+        for p in loaded:
+            assert ids.setdefault(p.clip_id, p.clip_id) is p.clip_id
+        assert 1 < len(ids) < len(loaded)
+
     @pytest.mark.parametrize("label", [7, ["Pass"], {"name": "Pass"}, None])
     def test_non_string_label_rejected(self, tmp_path, label):
         doc = file_doc(write_predictions, [])
@@ -711,8 +735,8 @@ class TestTargetsFile:
         # SlotTarget(actionness=0) == SlotTarget(actionness=0.0), and the
         # loss-check reader holds both as 0.0: an int in a number field is
         # written as the float it reads back as.
-        as_int = SlotTarget(gt_index=None, actionness=0, time=1)
-        as_float = SlotTarget(gt_index=None, actionness=0.0, time=1.0)
+        as_int = SlotTarget(gt_index=None, actionness=1, time=0)
+        as_float = SlotTarget(gt_index=None, actionness=1.0, time=0.0)
         assert as_int == as_float
         slots = (as_int, as_int, as_float, as_float, as_int)
         pairs = [("c", Assignment(HeadVariant.Q_ACT, slots))]
@@ -767,13 +791,30 @@ class TestTargetsFile:
             ("c", SlotTarget(0, 1.0, 3, None, "0.5"), False, "time must be a number, got '0.5'"),
             (7, BLANK, False, "clip_id must be a string, got 7"),
             ("c", BLANK, 0, "truncated must be a boolean, got 0"),
+            ("c", SlotTarget(0, 2.0, 3), False, "actionness 2.0 outside [0, 1]"),
+            ("c", SlotTarget(0, -0.5, 3), False, "actionness -0.5 outside [0, 1]"),
+            ("c", SlotTarget(0, 1.0, 3, None, 1.0), False, "time 1.0 outside [0, 1)"),
+            ("c", SlotTarget(0, 1.0, 3, None, 1), False, "time 1.0 outside [0, 1)"),
+            ("c", SlotTarget(0, 1.0, 3, None, -0.25), False, "time -0.25 outside [0, 1)"),
+            ("c", SlotTarget(-1, 1.0, 3), False, "gt_index -1 outside [0, inf]"),
+            ("c", SlotTarget(0, 1.0, -1), False, "class_index -1 outside [0, 10]"),
+            ("c", SlotTarget(0, 1.0, 11), False, "class_index 11 outside [0, 10]"),
+            ("c", SlotTarget(0, 1.0, None, (0, 1, 5), 0.5), False,
+             "class_multihot entry 5 is not 0 or 1"),
+            ("c", SlotTarget(0, 1.0, None, [-1], 0.5), False,
+             "class_multihot entry -1 is not 0 or 1"),
+            ("", BLANK, False, "clip_id must not be empty"),
         ],
         ids=["bool-multihot", "set-multihot", "intenum-gt-index", "bool-class-index",
              "bool-actionness", "float-subclass-time", "huge-actionness", "string-time",
-             "int-clip-id", "int-truncated"],
+             "int-clip-id", "int-truncated", "actionness-2", "negative-actionness", "time-1",
+             "int-time-1", "negative-time", "negative-gt-index", "negative-class-index",
+             "class-index-past-sentinel", "multihot-5", "multihot-minus-1", "empty-clip-id"],
     )
     def test_writer_refuses_fields_of_other_kinds(self, tmp_path, clip_id, slot, truncated, error):
-        # Each slot field is held to the kinds the loss-check slot reader holds.
+        # Each slot field is held to the kinds the loss-check slot reader
+        # holds, and to the ranges of the targets schema (class indices up to
+        # the sentinel C).
         path = tmp_path / "targets.json"
         path.write_bytes(b"old bytes\n")
         pairs = [(clip_id, Assignment(HeadVariant.Q_BCE, (slot, BLANK), truncated))]
@@ -824,6 +865,9 @@ SLOT_NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0, 0.0, -0.0, 1, 1.0]),
 )
+#: Slot number fields in the targets schema's ranges: actionness in [0, 1], time in [0, 1).
+ACTIONNESS = st.one_of(st.none(), st.sampled_from([0, 0.0, -0.0, 1, 1.0]), st.floats(0.0, 1.0))
+TIMES = st.one_of(st.none(), st.sampled_from([0, 0.0, -0.0]), st.floats(0.0, 1.0, exclude_max=True))
 
 
 def eval_clips_at(ta: float):
@@ -883,32 +927,42 @@ ONE_CLIP = [
     for k in range(48)
     for conf in (0.25, 0.75, 1.0 if k % 5 else 1)
 ] + [Prediction('a"\\%s\u00e9:1', ALL_LABELS[0], 0, 0.5)]
-SLOTS = st.one_of(
-    st.sampled_from([BLANK, UNCONSTRAINED, *(head.unpaired for head in HEADS.values())]),
-    st.builds(
-        SlotTarget,
-        gt_index=st.one_of(st.none(), st.integers(0, 20)),
-        actionness=SLOT_NUMBERS,
-        class_index=st.one_of(st.none(), st.integers(0, 10)),
-        class_multihot=st.one_of(
-            st.none(),
-            st.just(()),
-            st.sampled_from(ONE_HOT),
-            st.sampled_from(ONE_HOT).map(list),  # equal values, other objects
-            st.lists(st.sampled_from([0, 1]), max_size=10).map(tuple),
+
+
+def slot_targets(actionness, time, lowest, bits):
+    """The shared slots, and slots of ``actionness`` and ``time`` draws, indices from
+    ``lowest`` up and multi-hot entries from ``bits``."""
+    return st.one_of(
+        st.sampled_from([BLANK, UNCONSTRAINED, *(head.unpaired for head in HEADS.values())]),
+        st.builds(
+            SlotTarget,
+            gt_index=st.one_of(st.none(), st.integers(lowest, 20)),
+            actionness=actionness,
+            class_index=st.one_of(st.none(), st.integers(lowest, 10)),
+            class_multihot=st.one_of(
+                st.none(),
+                st.just(()),
+                st.sampled_from(ONE_HOT),
+                st.sampled_from(ONE_HOT).map(list),  # equal values, other objects
+                st.lists(st.sampled_from(bits), max_size=10).map(tuple),
+            ),
+            time=time,
         ),
-        time=SLOT_NUMBERS,
-    ),
-)
+    )
 
 
-def assignments_of(variant: HeadVariant):
+#: Slots a targets file holds, and slots with values out of its schema's ranges too.
+SLOTS = slot_targets(ACTIONNESS, TIMES, 0, [0, 1])
+ANY_SLOTS = slot_targets(SLOT_NUMBERS, SLOT_NUMBERS, -2, [0, 1, 0, 1, 2, -1])
+
+
+def assignments_of(variant: HeadVariant, ids=RECORD_IDS.filter(bool), slots=SLOTS):
     """``(variant, pairs)``: (clip id, assignment) pairs of ``variant``."""
     pair = st.tuples(
-        RECORD_IDS,
+        ids,
         st.builds(
             lambda slots, truncated: Assignment(variant, tuple(slots), truncated),
-            st.lists(SLOTS, max_size=6),
+            st.lists(slots, max_size=6),
             st.booleans(),
         ),
     )
@@ -916,6 +970,9 @@ def assignments_of(variant: HeadVariant):
 
 
 ASSIGNMENTS = st.sampled_from(list(HeadVariant)).flatmap(assignments_of)
+ANY_ASSIGNMENTS = st.sampled_from(list(HeadVariant)).flatmap(
+    lambda variant: assignments_of(variant, RECORD_IDS, ANY_SLOTS)
+)
 
 
 class TestWriterBytes:
@@ -976,6 +1033,23 @@ class TestWriterBytes:
         assert text == oracle_dump(plain_targets_doc(pairs, CFG, variant))
         assert file_text(write_targets, pairs, CFG, variant) == text
 
+    @settings(max_examples=200, deadline=None)
+    @given(ANY_ASSIGNMENTS)
+    def test_targets_writer_refuses_what_the_schema_refuses(self, schema_registry, drawn):
+        # Empty ids, negative indices, numbers out of [0, 1] and multi-hot
+        # entries other than 0 and 1 among the draws: the writer refuses the
+        # pairs exactly when the schema refuses their plain document.
+        variant, pairs = drawn
+        plain = plain_targets_doc(pairs, CFG, variant)
+        try:
+            written = file_text(write_targets, pairs, CFG, variant)
+        except ValueError:
+            written = None
+        valid = validator_for("targets", schema_registry).is_valid(plain)
+        assert valid == (written is not None)
+        if valid:
+            assert written == oracle_dump(plain)
+
 
 class TestPredictionsReWrite:
     """A predictions file reads back as what was written, and writes again as the same bytes."""
@@ -1001,6 +1075,101 @@ class TestPredictionsReWrite:
         assert not any(p.time_clamped for p in read)
         for p in predictions + read:
             assert [type(v) for v in p[:4]] == [str, ActionClass, float, float]
+
+
+def read_plain(path):
+    """The predictions reader without its object hook: the whole document as
+    dicts, then :func:`fileio._prediction` of each record."""
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    return fileio._read_records(doc, "predictions", path, "prediction", fileio._prediction)
+
+
+def outcome(read, path):
+    """What ``read(path)`` gives: each field of each record with its type and repr, or its error."""
+    try:
+        return [[(type(v), repr(v)) for v in p] for p in read(path)]
+    except FileFormatError as exc:
+        return str(exc)
+
+
+#: Clip ids, with non-ASCII text and JSON escapes among them.
+READ_IDS = st.sampled_from(
+    ["a:1:0000000", "a:1:0005000", "\u00e9t\u00e9:2", '"\\', "\U0001f600", ""]
+)
+#: Label spellings: the file's own, other spellings parse_label knows, unknown ones.
+LABEL_SPELLINGS = st.sampled_from(["Pass", "Drive", "PASS", "pass", "succesful_tackle", "Nope", ""])
+#: Values a record field should not hold, a well-formed record nested in an
+#: extra field among them.
+ODD_VALUES = st.sampled_from([None, True, "0.5", [], {}, 2**70, math.nan, math.inf, -0.5, 1.5])
+NESTED = {"clip_id": "n", "label": "Pass", "time_s": 0.0, "confidence": 0.5}
+
+
+@st.composite
+def prediction_records(draw):
+    """A record of a predictions document, well formed or not, its keys in any order."""
+    rec = {
+        "clip_id": draw(READ_IDS),
+        "label": draw(LABEL_SPELLINGS),
+        "time_s": draw(st.one_of(st.floats(0.0, 1e6), st.sampled_from([0, 3, -0.0, 1e308]))),
+        "confidence": draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0, 5e-324]))),
+    }
+    if draw(st.integers(0, 9)) == 0:
+        key = draw(st.sampled_from(sorted(rec)))
+        if draw(st.booleans()):
+            del rec[key]
+        else:
+            rec[key] = draw(ODD_VALUES)
+    if draw(st.integers(0, 4)) == 0:
+        rec["extra"] = draw(st.one_of(ODD_VALUES, st.just(NESTED)))
+    if draw(st.integers(0, 29)) == 0:
+        return draw(st.sampled_from([[], "x", 5, None]))
+    return {key: rec[key] for key in draw(st.permutations(list(rec)))}
+
+
+class TestPredictionsReader:
+    """The reader gives what the document's dicts give record by record:
+    the same predictions of the same types, or the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(prediction_records(), max_size=12),
+        st.sampled_from(["canonical", "one-line", "one-line-utf8"]),
+    )
+    @example(records=[NESTED, {**NESTED, "extra": NESTED}], layout="one-line")
+    def test_equals_the_per_record_reference(self, records, layout):
+        doc = {"format": "kickcast-predictions", "version": 1, "predictions": records}
+        text = {
+            "canonical": lambda: json.dumps(doc, indent=2, sort_keys=True),
+            "one-line": lambda: json.dumps(doc),
+            "one-line-utf8": lambda: json.dumps(doc, ensure_ascii=False),
+        }[layout]()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "preds.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            assert outcome(read_predictions, path) == outcome(read_plain, path)
+
+    def test_peak_is_below_the_reference_path(self, tmp_path):
+        # Records are built as the parser closes them, so the document's dicts
+        # are never all alive at once.
+        predictions = [
+            Prediction(f"g:1:{k // 80:07d}", ALL_LABELS[k % 10], k % 80 * 0.0625, (k % 997) / 997)
+            for k in range(20_000)
+        ]
+        path = tmp_path / "preds.json"
+        write_predictions(path, predictions)
+        peaks = {}
+        for read in (read_plain, read_predictions):
+            tracemalloc.start()
+            try:
+                records = read(path)
+                _, peaks[read] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(records) == 20_000
+            del records
+        assert peaks[read_predictions] < 0.75 * peaks[read_plain], peaks
 
 
 class TestTargetsMemory:
